@@ -1,12 +1,11 @@
 // Host-throughput trajectory bench: how many simulated instructions per
-// wall-clock second each execution model sustains, with the host fast
-// paths on (default configuration) and off (the per-step baseline).  The
-// functional model gets a third row with the basic-block translation
-// engine on top of the fast paths (its default configuration).
+// wall-clock second each execution model sustains, with the host
+// fast-path switch (CpuConfig::host_fast_paths) on (the default
+// configuration) and off (the per-step reference).
 //
 // Emits BENCH_sim.json (override with --out), one row per measurement:
 //
-//   {"model": "integer_unit", "fast_paths": true, "block_engine": true,
+//   {"model": "integer_unit", "fast_paths": true,
 //    "host_mips": 310.7, "cycles_per_sec": 3.9e8,
 //    "instructions": 310700000, "secs": 1.0}
 //
@@ -75,7 +74,6 @@ constexpr u64 kChunk = 1 << 16;  // steps per timed slice
 struct Row {
   std::string model;
   bool fast_paths = false;
-  bool block_engine = false;  // integer_unit only; others have no such tier
   double host_mips = 0;
   double cycles_per_sec = 0;
   u64 instructions = 0;
@@ -86,12 +84,11 @@ struct Row {
 /// returns retired-instruction and cycle deltas as running totals) until
 /// `budget_secs` of wall time passed; convert to rates.
 template <typename Body>
-Row measure(const std::string& model, bool fast, bool block,
-            double budget_secs, Body&& body) {
+Row measure(const std::string& model, bool fast, double budget_secs,
+            Body&& body) {
   Row row;
   row.model = model;
   row.fast_paths = fast;
-  row.block_engine = block;
   const auto start = Clock::now();
   u64 instructions = 0;
   u64 cycles = 0;
@@ -107,17 +104,15 @@ Row measure(const std::string& model, bool fast, bool block,
   return row;
 }
 
-Row measure_integer_unit(bool fast, bool block, double secs) {
+Row measure_integer_unit(bool fast, double secs) {
   const auto img = sasm::assemble_or_throw(kLoop);
   cpu::CpuConfig cfg;
-  cfg.host_decode_cache = fast;
-  cfg.host_block_engine = block;
+  cfg.host_fast_paths = fast;
   cpu::FlatMemory mem(1 << 16);
   mem.load(img.base, img.data);
   cpu::IntegerUnit iu(cfg, mem);
   iu.reset(img.entry);
-  return measure("integer_unit", fast, block, secs,
-                 [&](u64& instr, u64& cyc) {
+  return measure("integer_unit", fast, secs, [&](u64& instr, u64& cyc) {
     instr += iu.run(kChunk);
     cyc = iu.cycle_count();
   });
@@ -126,9 +121,7 @@ Row measure_integer_unit(bool fast, bool block, double secs) {
 Row measure_leon_pipeline(bool fast, double secs) {
   const auto img = sasm::assemble_or_throw(kLoop);
   cpu::PipelineConfig cfg;
-  cfg.host_fast_paths = fast;
-  cfg.cpu.host_decode_cache = fast;
-  cfg.cpu.host_block_engine = false;  // pipeline datapath; no block tier
+  cfg.cpu.host_fast_paths = fast;
   mem::Sram sram(0, 1 << 16);
   sram.backdoor_write(img.base, img.data);
   bus::AhbBus bus;
@@ -136,8 +129,7 @@ Row measure_leon_pipeline(bool fast, double secs) {
   Cycles clock = 0;
   cpu::LeonPipeline pipe(cfg, bus, &clock, &everything_cacheable);
   pipe.reset(img.entry);
-  return measure("leon_pipeline", fast, false, secs,
-                 [&](u64& instr, u64& cyc) {
+  return measure("leon_pipeline", fast, secs, [&](u64& instr, u64& cyc) {
     pipe.run(kChunk);
     instr = pipe.stats().instructions;
     cyc = pipe.stats().cycles;
@@ -147,10 +139,7 @@ Row measure_leon_pipeline(bool fast, double secs) {
 Row measure_liquid_system(bool fast, double secs,
                           bool flight_recorder = false) {
   sim::SystemConfig cfg;
-  cfg.fast_run_loop = fast;
-  cfg.pipeline.host_fast_paths = fast;
-  cfg.pipeline.cpu.host_decode_cache = fast;
-  cfg.pipeline.cpu.host_block_engine = false;  // pipeline datapath
+  cfg.pipeline.cpu.host_fast_paths = fast;
   cfg.flight_recorder = flight_recorder;
   sim::LiquidSystem sys(cfg);
   sys.run(200);  // boot into the ROM polling loop
@@ -167,7 +156,7 @@ Row measure_liquid_system(bool fast, double secs,
     row.fast_paths = fast;
     return row;
   }
-  return measure(model, fast, false, secs, [&](u64& instr, u64& cyc) {
+  return measure(model, fast, secs, [&](u64& instr, u64& cyc) {
     sys.run(kChunk);
     instr = sys.cpu().stats().instructions;
     cyc = sys.cpu().stats().cycles;
@@ -179,7 +168,7 @@ int usage() {
                "usage: sim_mips [--out FILE] [--secs N]\n"
                "  --out FILE   output JSON path (default BENCH_sim.json)\n"
                "  --secs N     wall-clock budget per measurement, seconds\n"
-               "               (default 1.0; eight measurements total)\n");
+               "               (default 1.0; seven measurements total)\n");
   return 2;
 }
 
@@ -202,26 +191,21 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const bool fast : {false, true}) {
-    rows.push_back(measure_integer_unit(fast, /*block=*/false, secs));
+    rows.push_back(measure_integer_unit(fast, secs));
     rows.push_back(measure_leon_pipeline(fast, secs));
     rows.push_back(measure_liquid_system(fast, secs));
   }
-  // The functional model's block translation tier (its default config:
-  // fast paths + block engine), paired with the fast_paths-only row above
-  // so BENCH_sim.json always records block-on vs block-off.
-  rows.push_back(measure_integer_unit(true, /*block=*/true, secs));
   // Observability overhead row: the flight recorder armed (sampled retire
   // ring) on the fast path.  The recorder compiled in but *disabled* is
   // the plain liquid_system row above — its cost is one predictable
   // null-pointer branch per batched step.
   rows.push_back(measure_liquid_system(true, secs, /*flight_recorder=*/true));
 
-  std::printf("%-16s %-6s %-6s %12s %16s\n", "model", "fast", "block",
-              "host MIPS", "cycles/sec");
+  std::printf("%-20s %-6s %12s %16s\n", "model", "fast", "host MIPS",
+              "cycles/sec");
   for (const Row& r : rows) {
-    std::printf("%-16s %-6s %-6s %12.2f %16.3e\n", r.model.c_str(),
-                r.fast_paths ? "on" : "off", r.block_engine ? "on" : "off",
-                r.host_mips, r.cycles_per_sec);
+    std::printf("%-20s %-6s %12.2f %16.3e\n", r.model.c_str(),
+                r.fast_paths ? "on" : "off", r.host_mips, r.cycles_per_sec);
   }
 
   FILE* f = std::fopen(out_path.c_str(), "wb");
@@ -234,11 +218,9 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "  {\"model\": \"%s\", \"fast_paths\": %s, "
-                 "\"block_engine\": %s, "
                  "\"host_mips\": %.3f, \"cycles_per_sec\": %.1f, "
                  "\"instructions\": %llu, \"secs\": %.3f}%s\n",
                  r.model.c_str(), r.fast_paths ? "true" : "false",
-                 r.block_engine ? "true" : "false",
                  r.host_mips, r.cycles_per_sec,
                  static_cast<unsigned long long>(r.instructions), r.secs,
                  i + 1 < rows.size() ? "," : "");

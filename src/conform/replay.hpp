@@ -1,13 +1,14 @@
 // Five-leg conformance replay.
 //
-// Every vector is run against both CPU models with the host fast paths on
-// and off, plus the block translation engine:
+// Every vector is run against both CPU models with the host fast-path
+// switch (CpuConfig::host_fast_paths) off and on; the IntegerUnit's fast
+// setting is driven through both of its entry points:
 //
-//   iu-slow    cpu::IntegerUnit, host_decode_cache off  (the reference)
-//   iu-fast    cpu::IntegerUnit, host_decode_cache on
-//   iu-block   cpu::IntegerUnit via run() with host_block_engine on
-//   pipe-slow  cpu::LeonPipeline, host_fast_paths off
-//   pipe-fast  cpu::LeonPipeline, host_fast_paths on
+//   iu-slow    cpu::IntegerUnit step(), switch off  (the reference)
+//   iu-fast    cpu::IntegerUnit step(), switch on   (decode cache)
+//   iu-block   cpu::IntegerUnit run(),  switch on   (block engine)
+//   pipe-slow  cpu::LeonPipeline, switch off
+//   pipe-fast  cpu::LeonPipeline, switch on
 //
 // A leg passes when the full architectural post-state (pc/npc, PSR, Y,
 // WIM, TBR, error mode, every register and ASR, the touched memory words)

@@ -37,15 +37,13 @@ struct VecConfig {
   bool has_div = true;
   bool quirk_subx = false;
 
-  cpu::CpuConfig cpu_config(bool host_decode_cache,
-                            bool host_block_engine = false) const {
+  cpu::CpuConfig cpu_config(bool host_fast_paths) const {
     cpu::CpuConfig c;
     c.nwindows = nwindows;
     c.has_mul = has_mul;
     c.has_div = has_div;
     c.quirk_subx_no_carry = quirk_subx;
-    c.host_decode_cache = host_decode_cache;
-    c.host_block_engine = host_block_engine;
+    c.host_fast_paths = host_fast_paths;
     return c;
   }
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cpu/integer_unit.hpp"
-#include "isa/decode.hpp"
 #include "isa/traps.hpp"
 
 namespace la::cpu {
@@ -67,9 +66,7 @@ BlockEngine::Block* BlockEngine::translate(IntegerUnit& iu, Addr pc,
     }
   };
   for (;;) {
-    const isa::Instruction ins = iu.cfg_.host_decode_cache
-                                     ? iu.predecode_.lookup(word)
-                                     : isa::decode(word);
+    const isa::Instruction ins = iu.predecode_.lookup(word);
     const isa::HandlerInfo hi = isa::handler_info(ins.mn);
     BlockOp op;
     cur += 4;
@@ -83,9 +80,7 @@ BlockEngine::Block* BlockEngine::translate(IntegerUnit& iu, Addr pc,
       // slot) back to the per-step interpreter.
       u32 slot_word = 0;
       if (cur != halt_pc && iu.mem_.fetch(cur, slot_word)) {
-        const isa::Instruction slot = iu.cfg_.host_decode_cache
-                                          ? iu.predecode_.lookup(slot_word)
-                                          : isa::decode(slot_word);
+        const isa::Instruction slot = iu.predecode_.lookup(slot_word);
         const isa::HandlerInfo shi = isa::handler_info(slot.mn);
         if (!shi.ends_block) {
           // The slot instruction runs through its own (often inline-ALU)

@@ -42,22 +42,16 @@ struct CpuConfig {
   /// (LEON2 trap latency is 4-5 cycles).
   Cycles trap_latency = 4;
 
-  /// Host-performance knob (no effect on simulated cycles or state): cache
-  /// decode() results keyed by instruction word, so hot fetch loops skip
-  /// the full decoder.  Word-keyed, hence never stale; off reverts to
-  /// calling isa::decode() on every fetch.
-  bool host_decode_cache = true;
-
-  /// Host-performance knob (no effect on simulated cycles or state):
-  /// translate basic blocks once into predecoded handler traces and run
-  /// them through the threaded dispatcher (src/cpu/block_engine.*).
-  /// Engages only on observerless run() calls — attaching an ExecObserver
-  /// or single-stepping always uses the per-step interpreter.  Any store
-  /// the core executes into a translated page invalidates that page's
-  /// blocks, and translations never outlive one run() call (so memory
-  /// rewritten between calls is always re-read).  Off reverts run() to
-  /// the per-step loops exactly as before.
-  bool host_block_engine = true;
+  /// Host-performance switch (no effect on simulated cycles or state).
+  /// On, every model runs its host fast paths: the word-keyed decode cache
+  /// (both CPU models), the IntegerUnit's basic-block translation engine
+  /// on observerless run() calls, the pipeline's predecoded I-cache line
+  /// mirror, cache-hit probes and flattened run() loop, and LiquidSystem's
+  /// batched run loop.  Off, every model runs its plain per-step
+  /// reference path, calling isa::decode() on every fetch.  The two
+  /// settings are bit-identical; the conformance legs, the fast-path
+  /// equivalence tests and the differential fuzzer compare them.
+  bool host_fast_paths = true;
 
   /// Deliberate semantic fault: SUBX ignores the carry-in.  Exists solely
   /// so the differential fuzzer can prove, end to end, that it detects and

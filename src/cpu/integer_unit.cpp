@@ -568,8 +568,8 @@ void IntegerUnit::step_into(StepResult& res) {
     return;
   }
   res.raw = word;
-  res.ins = cfg_.host_decode_cache ? predecode_.lookup(word)
-                                   : isa::decode(word);
+  res.ins = cfg_.host_fast_paths ? predecode_.lookup(word)
+                                 : isa::decode(word);
 
   if (annul_next_) {
     annul_next_ = false;
@@ -601,29 +601,17 @@ void IntegerUnit::step_into(StepResult& res) {
 }
 
 u64 IntegerUnit::run(u64 max_steps, Addr halt_pc) {
-  u64 n = 0;
-  if (obs_ == nullptr && cfg_.host_block_engine) {
+  if (obs_ == nullptr && cfg_.host_fast_paths) {
     // Basic-block translation tier: decode each block once, execute via
-    // threaded dispatch.  Bit-identical to the loops below (the engine
-    // re-checks the same between-instruction conditions and routes every
-    // irregular case back through step_into); engages only observerless,
-    // so tracing and single-stepping always see the per-step path.
+    // threaded dispatch.  Bit-identical to the per-step loop below (the
+    // engine re-checks the same between-instruction conditions and routes
+    // every irregular case back through step_into); engages only
+    // observerless, so tracing and single-stepping always see the
+    // per-step path.
     if (!block_) block_ = std::make_unique<BlockEngine>();
     return block_->run(*this, max_steps, halt_pc);
   }
-  if (obs_ == nullptr && cfg_.host_decode_cache) {
-    // Hot loop: one StepResult reused across iterations; nothing outside
-    // this frame observes it, so skipping the per-step materialization is
-    // invisible (the same instructions execute with the same state).
-    // host_decode_cache doubles as the functional model's "host fast
-    // paths" knob: with it off, run() is the plain per-step path.
-    StepResult res;
-    while (n < max_steps && !st_.error_mode && st_.pc != halt_pc) {
-      step_into(res);
-      ++n;
-    }
-    return n;
-  }
+  u64 n = 0;
   while (n < max_steps && !st_.error_mode && st_.pc != halt_pc) {
     step();
     ++n;

@@ -132,7 +132,7 @@ class IntegerUnit {
   CpuConfig cfg_;
   MemoryPort& mem_;
   CpuState st_;
-  isa::DecodeCache predecode_;  // host perf only; see CpuConfig knob
+  isa::DecodeCache predecode_;  // host perf only; see host_fast_paths
 
   bool annul_next_ = false;
   u8 irq_level_ = 0;
@@ -142,8 +142,8 @@ class IntegerUnit {
   u8 last_tt_ = 0;
   ExecObserver* obs_ = nullptr;
 
-  // Basic-block translation tier (host perf only; see CpuConfig knob).
-  // Created lazily by the first observerless run() with the knob on.
+  // Basic-block translation tier (host perf only; see host_fast_paths).
+  // Created lazily by the first observerless run() with the switch on.
   std::unique_ptr<BlockEngine> block_;
 
   // Set by execute() for control transfers: next npc after the delay slot.

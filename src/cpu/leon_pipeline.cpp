@@ -53,8 +53,8 @@ LeonPipeline::LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus,
       iline_words_shift_(
           static_cast<u32>(std::countr_zero(cfg.icache.words_per_line()))),
       dline_mask_(cfg.dcache.line_bytes - 1),
-      fast_(cfg.host_fast_paths),
-      hot_ifetch_(cfg.host_fast_paths && cfg.icache_enabled) {
+      fast_(cfg.cpu.host_fast_paths),
+      hot_ifetch_(cfg.cpu.host_fast_paths && cfg.icache_enabled) {
   assert(cfg.cpu.valid() && cfg.icache.valid() && cfg.dcache.valid());
   assert(clock != nullptr && cacheable != nullptr);
   // Doubleword accesses must never straddle a line.
@@ -898,7 +898,7 @@ void LeonPipeline::step_impl(StepResult& res) {
   if constexpr (kCopyIns) res.raw = word;
   isa::Instruction local;
   if (pins == nullptr) {
-    if (cfg_.cpu.host_decode_cache) {
+    if (fast_) {
       pins = &predecode_.lookup(word);
     } else {
       local = isa::decode(word);
@@ -966,7 +966,7 @@ __attribute__((flatten)) u64 LeonPipeline::run(u64 max_steps, Addr halt_pc) {
     // Hot loop: one StepResult reused across iterations and never read
     // (see step_impl's kCopyIns contract); with no observer attached
     // nothing outside this frame can see the per-step results, so the
-    // behaviour is identical.  Gated by host_fast_paths so the knob-off
+    // behaviour is identical.  Gated by host_fast_paths so the reference
     // configuration exercises the plain per-step path end to end.
     StepResult res;
     u64 n = 0;

@@ -33,12 +33,6 @@ struct PipelineConfig {
   /// Write buffer entries for the write-through store path; 0 makes every
   /// store wait for its bus write synchronously.
   unsigned write_buffer_depth = 1;
-  /// Host-performance knob (no effect on simulated cycles or state):
-  /// enables the predecoded I-cache-line mirror and the cache-hit fast
-  /// paths that skip AccessOutcome materialization.  The timed behaviour
-  /// is bit-identical either way — tests/property/fastpath_equivalence
-  /// and the differential fuzzer run both settings against each other.
-  bool host_fast_paths = true;
 };
 
 struct PipelineStats {
@@ -124,7 +118,7 @@ class LeonPipeline {
   /// ASRs, error/wedge flags), the inter-step pipeline latches, both caches,
   /// and the stats.  load_state requires the same architectural
   /// configuration (window count, cache geometry) and invalidates every
-  /// host-side fast-path memo; host knobs may differ freely between the
+  /// host-side fast-path memo; the host switch may differ freely between the
   /// capturing and restoring pipeline.
   void save_state(SnapWriter& w) const;
   bool load_state(SnapReader& r);
@@ -221,7 +215,7 @@ class LeonPipeline {
   PipelineStats stats_;
 
   // --- host fast-path state (never affects simulated time/state) ------------
-  isa::DecodeCache predecode_;  // word-keyed; see CpuConfig::host_decode_cache
+  isa::DecodeCache predecode_;  // word-keyed; see CpuConfig::host_fast_paths
   /// Per-I-cache-slot mirror of the resident line's decoded instructions,
   /// (re)built whenever a line is filled.  `imirror_addr_[slot]` is the
   /// line address the mirror content belongs to (kNoMirrorLine = none);
@@ -247,7 +241,7 @@ class LeonPipeline {
   u32 iline_words_ = 0;   // icache line_bytes / 4
   u32 iline_words_shift_ = 0;  // log2(iline_words_): mirror slot stride
   u32 dline_mask_ = 0;    // dcache line_bytes - 1
-  bool fast_ = false;     // cfg_.host_fast_paths (hoisted)
+  bool fast_ = false;     // cfg_.cpu.host_fast_paths (hoisted)
   bool hot_ifetch_ = false;  // fast_ && icache_enabled (hoisted)
 
   bool annul_next_ = false;

@@ -119,7 +119,10 @@ std::optional<FarmJobOutcome> LiquidFarm::pop_result() {
 void LiquidFarm::drain() {
   start();  // a paused farm can never drain
   std::unique_lock<std::mutex> lk(mu_);
-  cv_results_.wait(lk, [&] { return shutdown_ || sched_.idle(); });
+  // Idle scheduler is not enough: a worker may still be healing a node
+  // (recover_node drives it), and node_for_setup() promises the caller
+  // sole ownership of every node after drain().
+  cv_results_.wait(lk, [&] { return shutdown_ || fleet_idle_locked(); });
 }
 
 void LiquidFarm::shutdown() {

@@ -170,7 +170,8 @@ class LiquidFarm {
   std::optional<FarmJobOutcome> pop_result();
 
   /// Block until every admitted job has executed (results may still be
-  /// queued for popping).
+  /// queued for popping) and every node is booted and healthy again — a
+  /// node quarantined by a fault has finished its RESTART recovery.
   void drain();
   /// Stop accepting work and park the workers (drain first to finish
   /// outstanding jobs).  Idempotent; the destructor calls it.

@@ -181,7 +181,7 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
   // this leg reruns the identical config observerless so run() engages
   // the block engine, and must match leg A bit-for-bit (state, memory,
   // step and cycle counts).
-  if (opt_.pipeline.cpu.host_block_engine) {
+  if (opt_.pipeline.cpu.host_fast_paths) {
     cpu::FlatMemory bflat(kMemSize, kMemBase);
     bflat.load(img.base, img.data);
     cpu::IntegerUnit biu(acfg, bflat);
@@ -263,9 +263,8 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
   if (mode == ProgramMode::kSystem && opt_.with_system && !a.error_mode) {
     if (!sys_) {
       sim::SystemConfig scfg;
-      scfg.pipeline = opt_.pipeline;
       // Slow-path rotation entries exercise the per-step system loop too.
-      scfg.fast_run_loop = opt_.pipeline.host_fast_paths;
+      scfg.pipeline = opt_.pipeline;
       // The disconnect switch drops CPU writes once leon_ctrl flags the
       // run done, so a write-back data cache could lose dirty lines to a
       // post-completion eviction; the system leg always runs

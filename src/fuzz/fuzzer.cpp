@@ -51,20 +51,11 @@ std::vector<cpu::PipelineConfig> Fuzzer::config_rotation() {
   cfgs.push_back(few);
 
   // Host fast paths off (default geometry): every campaign continuously
-  // cross-checks the perf layer against the plain decode/per-step code.
-  // With the block engine off too this is exactly the pre-perf-work
-  // interpreter.
+  // cross-checks the perf layer against the plain decode/per-step
+  // reference interpreter.
   cpu::PipelineConfig slow;
-  slow.host_fast_paths = false;
-  slow.cpu.host_decode_cache = false;
-  slow.cpu.host_block_engine = false;
+  slow.cpu.host_fast_paths = false;
   cfgs.push_back(slow);
-
-  // Block translation engine off, fast paths otherwise on: isolates the
-  // block tier as a rotation axis of its own.
-  cpu::PipelineConfig noblock;
-  noblock.cpu.host_block_engine = false;
-  cfgs.push_back(noblock);
 
   return cfgs;
 }
@@ -108,6 +99,11 @@ int Fuzzer::run() {
   const u64 max_iters =
       cfg_.max_iterations ? cfg_.max_iterations : (timed ? ~0ull : 64);
 
+  std::vector<cpu::PipelineConfig> rotation = config_rotation();
+  if (cfg_.disable_fast_paths) {
+    for (cpu::PipelineConfig& c : rotation) c.cpu.host_fast_paths = false;
+  }
+
   if (!cfg_.corpus_dir.empty()) {
     const std::size_t loaded = corpus_.load(cfg_.corpus_dir);
     if (loaded) {
@@ -117,15 +113,7 @@ int Fuzzer::run() {
       // measured against what the corpus already explored.
       for (std::size_t i = 0; i < corpus_.size(); ++i) {
         DiffOptions opt;
-        opt.pipeline = config_rotation().front();
-        if (cfg_.disable_fast_paths) {
-          opt.pipeline.host_fast_paths = false;
-          opt.pipeline.cpu.host_decode_cache = false;
-          opt.pipeline.cpu.host_block_engine = false;
-        }
-        if (cfg_.disable_block_engine) {
-          opt.pipeline.cpu.host_block_engine = false;
-        }
+        opt.pipeline = rotation.front();
         opt.with_system = cfg_.with_system;
         opt.inject_subx_bug = cfg_.inject_subx_bug;
         DifferentialRunner runner(opt);
@@ -141,17 +129,6 @@ int Fuzzer::run() {
     }
   }
 
-  std::vector<cpu::PipelineConfig> rotation = config_rotation();
-  if (cfg_.disable_fast_paths) {
-    for (cpu::PipelineConfig& c : rotation) {
-      c.host_fast_paths = false;
-      c.cpu.host_decode_cache = false;
-      c.cpu.host_block_engine = false;
-    }
-  }
-  if (cfg_.disable_block_engine) {
-    for (cpu::PipelineConfig& c : rotation) c.cpu.host_block_engine = false;
-  }
   for (u64 iter = 0; iter < max_iters; ++iter) {
     if (timed) {
       const auto elapsed =
@@ -213,6 +190,11 @@ int Fuzzer::run() {
 }
 
 int Fuzzer::finish() {
+  std::vector<cpu::PipelineConfig> rotation = config_rotation();
+  if (cfg_.disable_fast_paths) {
+    for (cpu::PipelineConfig& c : rotation) c.cpu.host_fast_paths = false;
+  }
+
   if (!cfg_.corpus_dir.empty()) {
     const std::size_t written = corpus_.save(cfg_.corpus_dir);
     if (written) {

@@ -40,15 +40,10 @@ struct FuzzConfig {
   /// Self-check fault injection (see DiffOptions::inject_subx_bug).
   bool inject_subx_bug = false;
   /// Force every rotation entry to run with the host fast paths off
-  /// (predecode cache, cache-hit probes, batched system run loop).  The
-  /// default rotation already includes one fast-off configuration; this
-  /// turns the whole campaign into a slow-path baseline for A/B runs.
+  /// (CpuConfig::host_fast_paths).  The default rotation already includes
+  /// one fast-off configuration; this turns the whole campaign into a
+  /// reference-path baseline for A/B runs.
   bool disable_fast_paths = false;
-  /// Force every rotation entry to run with the block translation engine
-  /// off.  The default rotation already includes one block-off
-  /// configuration (the slow entry); this pins the whole campaign to the
-  /// per-step interpreter for A/B runs against the block tier.
-  bool disable_block_engine = false;
   /// Progress lines to stderr.
   bool verbose = false;
 };
@@ -88,7 +83,7 @@ class Fuzzer {
 
   /// The pipeline-configuration rotation every campaign cycles through
   /// (the equivalence property test's cache/window configurations, plus
-  /// host-fast-paths-off and block-engine-off entries).
+  /// one host-fast-paths-off entry).
   static std::vector<cpu::PipelineConfig> config_rotation();
 
  private:

@@ -49,13 +49,6 @@ struct SystemConfig {
   /// instead of the paper's modified mailbox-polling ROM.  Remote program
   /// start does not work in this mode — that is the point of Fig 5.
   bool use_original_boot = false;
-  /// Host-performance knob (no effect on simulated cycles or state): run()
-  /// and run_until() batch steps between peripheral events instead of
-  /// advancing the timer/watchdog every step, falling back to the per-step
-  /// path whenever a step hook, perf tracer, or trace stream is armed.
-  /// An APB access from the program drains peripherals to the current
-  /// cycle first, so mid-batch register reads observe per-step state.
-  bool fast_run_loop = true;
   /// Arm the black-box flight recorder at construction (equivalent to
   /// calling enable_flight_recorder()).  Cheap enough to leave on: the
   /// fast run loop keeps batching, each event is a few stores.
@@ -104,9 +97,9 @@ class LiquidSystem {
   /// Restore from a snapshot.  The coarse platform config (memory sizes,
   /// timings, boot ROM flavor) must match this system's; the *pipeline*
   /// configuration is adopted from the snapshot (rebuilding the pipeline
-  /// if it differs — a restore is also a reconfiguration), while host-only
-  /// knobs (fast paths, decode cache, run-loop batching) keep this
-  /// system's settings, so snapshots cross fast/slow configurations
+  /// if it differs — a restore is also a reconfiguration), while the host
+  /// fast-path switch (CpuConfig::host_fast_paths) keeps this system's
+  /// setting, so snapshots cross fast/slow configurations
   /// bit-identically.  On failure returns false, sets *err when given,
   /// and leaves the system in an unspecified but safe-to-reset state.
   bool restore(const SystemSnapshot& snap, std::string* err = nullptr);
@@ -229,7 +222,7 @@ class LiquidSystem {
   /// step budget.  Returns whether `until` was reached.
   bool run_batched(u64 max_steps, const net::LeonState* until);
   bool slow_run_path() const {
-    return !cfg_.fast_run_loop || step_hook_armed_ || perf_ != nullptr ||
+    return !cfg_.pipeline.cpu.host_fast_paths || step_hook_armed_ || perf_ != nullptr ||
            tracer_ != nullptr;
   }
 

@@ -3,8 +3,9 @@
 // Layout (all little-endian, see common/snapio.hpp):
 //   "LASN" magic, u32 version
 //   "CFG " platform section   — memory sizes/timings, adapter, boot flavor
-//   "PCF " pipeline config    — architectural knobs only (host knobs are
-//                               per-system and never serialized)
+//   "PCF " pipeline config    — architectural knobs only (the host
+//                               fast-path switch is per-system and
+//                               never serialized)
 //   "SYS " system section     — clock, watchdog mirror, egress queue
 //   component sections        — pipeline+caches, SRAM, SDRAM device+ctrl,
 //                               adapter, disconnect, AHB, UART, timer, IRQ,
@@ -111,9 +112,9 @@ void save_pipeline_config(SnapWriter& w, const cpu::PipelineConfig& p) {
   w.u32v(p.write_buffer_depth);
 }
 
-/// Architectural pipeline config from the stream; host knobs (fast paths,
-/// decode cache) are copied from `host` — they belong to the restoring
-/// system, not the snapshot.
+/// Architectural pipeline config from the stream; the host fast-path
+/// switch is copied from `host` — it belongs to the restoring system, not
+/// the snapshot.
 cpu::PipelineConfig load_pipeline_config(SnapReader& r,
                                          const cpu::PipelineConfig& host) {
   cpu::PipelineConfig p;
@@ -135,8 +136,7 @@ cpu::PipelineConfig load_pipeline_config(SnapReader& r,
   p.icache_enabled = r.b();
   p.dcache_enabled = r.b();
   p.write_buffer_depth = r.u32v();
-  p.cpu.host_decode_cache = host.cpu.host_decode_cache;
-  p.host_fast_paths = host.host_fast_paths;
+  p.cpu.host_fast_paths = host.cpu.host_fast_paths;
   return p;
 }
 
@@ -147,7 +147,7 @@ bool cache_config_equal(const cache::CacheConfig& a,
          a.write_policy == b.write_policy;
 }
 
-/// Architectural equality (host knobs excluded): decides whether a restore
+/// Architectural equality (host switch excluded): decides whether a restore
 /// can load into the existing pipeline or must rebuild it.
 bool arch_equal(const cpu::PipelineConfig& a, const cpu::PipelineConfig& b) {
   return a.cpu.nwindows == b.cpu.nwindows && a.cpu.has_mul == b.cpu.has_mul &&

@@ -1,6 +1,7 @@
 // Fast-vs-slow identity regressions: the two divergences the differential
 // fuzzer minimized in PR 2 live on here as permanent named cases, replayed
-// on all four legs (IntegerUnit / LeonPipeline x fast paths on / off).
+// on all five legs (IntegerUnit / LeonPipeline x fast paths on / off,
+// plus the IntegerUnit's run() through the block engine).
 // They also exist as committed corpus vectors; this suite keeps them
 // independent of the corpus files so a corpus regeneration can never
 // silently drop them.

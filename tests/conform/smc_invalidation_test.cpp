@@ -80,7 +80,6 @@ struct Rig {
 cpu::PipelineConfig pipe_cfg(const VecConfig& vc, bool fast) {
   cpu::PipelineConfig cfg;
   cfg.cpu = vc.cpu_config(fast);
-  cfg.host_fast_paths = fast;
   return cfg;
 }
 
@@ -191,8 +190,7 @@ void run_smc(const cpu::PipelineConfig& base, bool with_flush,
   Rig slow(pipe_cfg(vc, false));
   for (Rig* r : {&fast, &slow}) {
     cpu::PipelineConfig cfg = base;  // same geometry, per-rig fast paths
-    cfg.host_fast_paths = r == &fast;
-    cfg.cpu.host_decode_cache = r == &fast;
+    cfg.cpu.host_fast_paths = r == &fast;
     r->pipe = std::make_unique<cpu::LeonPipeline>(cfg, r->bus, &r->clock,
                                                   &all_cacheable);
     r->pipe->reset(kVecCodeBase);
@@ -237,17 +235,17 @@ TEST(SmcInvalidation, StoreIntoExecutingLineCacheOff) {
 
 // --- the block translation engine's SMC/invalidation contract -----------
 
-/// One functional-model rig on flat memory, engine on or off.  run() is
-/// the only entry point that can engage the block engine, so everything
-/// here goes through it on both legs.
+/// One functional-model rig on flat memory, host fast paths on (block
+/// engine) or off (the per-step reference).  run() is the only entry point
+/// that can engage the block engine, so everything here goes through it on
+/// both legs.
 struct IuRig {
   cpu::FlatMemory mem{kVecMemSize, kVecMemBase};
   std::unique_ptr<cpu::IntegerUnit> iu;
 
   explicit IuRig(bool block) {
     cpu::CpuConfig cfg;
-    cfg.host_decode_cache = true;
-    cfg.host_block_engine = block;
+    cfg.host_fast_paths = block;
     iu = std::make_unique<cpu::IntegerUnit>(cfg, mem);
   }
 

@@ -82,8 +82,7 @@ void expect_identical(PipeSys& fast, PipeSys& slow) {
 }
 
 cpu::PipelineConfig with_fast(cpu::PipelineConfig cfg, bool fast) {
-  cfg.host_fast_paths = fast;
-  cfg.cpu.host_decode_cache = fast;
+  cfg.cpu.host_fast_paths = fast;
   return cfg;
 }
 

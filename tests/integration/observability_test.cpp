@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -187,6 +188,48 @@ TEST(Observability, WedgedFarmJobLeavesACausalTraceAndABlackBox) {
 
   // The injected wedge actually fired (the scenario tested what it says).
   EXPECT_TRUE(inj.all_fired());
+}
+
+// drain() must not return while a worker is still healing the node the
+// wedge quarantined: node_for_setup() promises the caller sole ownership
+// after drain(), and the injector's destructor touches the node.  Looped,
+// because an early return loses the race only some of the time (TSan
+// reports it as a data race in LiquidSystem's step hook).
+TEST(Observability, DrainWaitsForWedgedNodeRecovery) {
+  const auto img = loop_program();
+  for (int round = 0; round < 20; ++round) {
+    farm::FarmConfig fc;
+    fc.nodes = 1;
+    fc.autostart = false;
+    fc.max_job_retries = 0;
+    fc.node_template.watchdog_budget = 20'000;
+    farm::LiquidFarm f(fc);
+
+    fault::FaultPlan plan;
+    plan.events.push_back({{fault::TriggerKind::kPc, img.symbol("loop")},
+                           {fault::FaultSite::kCpuWedge, 0, 1, 1, 0}});
+    auto inj = std::make_unique<fault::FaultInjector>(f.node_for_setup(0),
+                                                      plan);
+    farm::FarmJob job;
+    job.owner = "drain";
+    job.program = img;
+    ASSERT_TRUE(f.submit(std::move(job)));
+    f.start();
+    f.drain();
+
+    // The recovery finished before drain() returned: the node answers
+    // idle and is no longer wedged, and nothing else is driving it.
+    sim::LiquidSystem& node = f.node_for_setup(0);
+    EXPECT_EQ(node.controller().state(), net::LeonState::kIdle)
+        << "round " << round;
+    EXPECT_FALSE(node.cpu().wedged()) << "round " << round;
+    EXPECT_TRUE(inj->all_fired()) << "round " << round;
+    inj.reset();  // detaches the step hook from the test thread
+
+    const auto out = f.pop_result();
+    ASSERT_TRUE(out.has_value()) << "round " << round;
+    EXPECT_FALSE(out->result.ok) << "round " << round;
+  }
 }
 
 }  // namespace

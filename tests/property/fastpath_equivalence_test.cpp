@@ -1,9 +1,9 @@
 // Property: the host fast paths are unobservable.  The same random
 // program on the same rig must leave LeonPipeline with bit-identical
 // architectural state, statistics (cycles included), cache statistics,
-// and memory with `host_fast_paths`/`host_decode_cache` on vs off — and
-// leave IntegerUnit bit-identical across the slow / decode-cache /
-// block-engine three-way grid.
+// and memory with `CpuConfig::host_fast_paths` on vs off — and leave
+// IntegerUnit bit-identical across the three-way grid: reference step(),
+// fast step() (decode cache) and fast run() (block engine).
 //
 // This is the direct fast-vs-slow sibling of cpu_equivalence_test (which
 // checks the pipeline against the independent functional model); programs
@@ -80,11 +80,9 @@ void check_seed(u64 seed, cpu::PipelineConfig base, int chunks) {
   const Addr done = img.symbol(fuzz::kDoneSymbol);
   const u64 budget = 4096 + 16u * (img.data.size() / 4);
 
-  base.host_fast_paths = true;
-  base.cpu.host_decode_cache = true;
+  base.cpu.host_fast_paths = true;
   Leg fast(img, base);
-  base.host_fast_paths = false;
-  base.cpu.host_decode_cache = false;
+  base.cpu.host_fast_paths = false;
   Leg slow(img, base);
 
   const u64 nf = fast.pipe->run(budget, done);
@@ -145,19 +143,28 @@ void check_seed(u64 seed, cpu::PipelineConfig base, int chunks) {
   }
 }
 
-// ---- IntegerUnit: slow / decode-cache / block-engine three-way grid ----
+// ---- IntegerUnit: reference step() / fast step() / fast run() grid ----
 
-/// One functional-model leg on flat memory, driven through run() (the only
-/// entry point that can engage the block engine).
+/// One functional-model leg on flat memory.
 struct IuLeg {
-  IuLeg(const sasm::Image& img, bool decode_cache, bool block_engine)
-      : mem(kMemSize, kMemBase) {
+  IuLeg(const sasm::Image& img, bool fast) : mem(kMemSize, kMemBase) {
     mem.load(img.base, img.data);
     cpu::CpuConfig cfg;
-    cfg.host_decode_cache = decode_cache;
-    cfg.host_block_engine = block_engine;
+    cfg.host_fast_paths = fast;
     iu = std::make_unique<cpu::IntegerUnit>(cfg, mem);
     iu->reset(img.entry);
+  }
+
+  /// run()'s loop spelled out over step(), so the leg never reaches the
+  /// block engine (step() is the decode-cache entry point).
+  u64 step_until(u64 max_steps, Addr halt_pc) {
+    u64 n = 0;
+    while (n < max_steps && !iu->state().error_mode &&
+           iu->state().pc != halt_pc) {
+      iu->step();
+      ++n;
+    }
+    return n;
   }
 
   cpu::FlatMemory mem;
@@ -178,12 +185,12 @@ void check_iu_seed(u64 seed, int chunks) {
   const Addr done = img.symbol(fuzz::kDoneSymbol);
   const u64 budget = 4096 + 16u * (img.data.size() / 4);
 
-  IuLeg slow(img, /*decode_cache=*/false, /*block_engine=*/false);
-  IuLeg fast(img, /*decode_cache=*/true, /*block_engine=*/false);
-  IuLeg block(img, /*decode_cache=*/true, /*block_engine=*/true);
+  IuLeg slow(img, /*fast=*/false);
+  IuLeg fast(img, /*fast=*/true);
+  IuLeg block(img, /*fast=*/true);
 
-  const u64 ns = slow.iu->run(budget, done);
-  const u64 nf = fast.iu->run(budget, done);
+  const u64 ns = slow.step_until(budget, done);
+  const u64 nf = fast.step_until(budget, done);
   const u64 nb = block.iu->run(budget, done);
 
   EXPECT_EQ(ns, nf) << "seed " << seed << ": slow/fast step counts differ";

@@ -44,9 +44,7 @@ std::vector<u64> seeds() {
 
 sim::SystemConfig host_config(bool fast, bool recorder) {
   sim::SystemConfig cfg;
-  cfg.fast_run_loop = fast;
-  cfg.pipeline.host_fast_paths = fast;
-  cfg.pipeline.cpu.host_decode_cache = fast;
+  cfg.pipeline.cpu.host_fast_paths = fast;
   cfg.flight_recorder = recorder;
   return cfg;
 }

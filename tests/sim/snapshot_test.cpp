@@ -112,20 +112,17 @@ TEST(SystemSnapshot, WedgeFlagSurvivesRestore) {
 
 TEST(SystemSnapshot, CrossesHostFastPathConfigurations) {
   sim::SystemConfig fast;
-  fast.fast_run_loop = true;
-  fast.pipeline.host_fast_paths = true;
+  fast.pipeline.cpu.host_fast_paths = true;
   sim::LiquidSystem a(fast);
   mid_run_node(a);
   const sim::SystemSnapshot snap = a.snapshot();
 
   sim::SystemConfig slow;
-  slow.fast_run_loop = false;
-  slow.pipeline.host_fast_paths = false;
-  slow.pipeline.cpu.host_decode_cache = false;
+  slow.pipeline.cpu.host_fast_paths = false;
   sim::LiquidSystem b(slow);
   std::string err;
   ASSERT_TRUE(b.restore(snap, &err)) << err;
-  // Host knobs are not architectural: the recapture is bit-identical even
+  // The host switch is not architectural: the recapture is bit-identical even
   // though b runs the reference paths.
   EXPECT_EQ(b.snapshot().data, snap.data);
 }

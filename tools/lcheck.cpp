@@ -19,11 +19,11 @@
 //   lcheck --prom FILE             Prometheus text exposition: every
 //                                  non-comment line is `name[{labels}]
 //                                  value` with a legal metric name
-//   lcheck --bench-sim FILE        BENCH_sim.json trajectory rows: known
-//                                  model names, boolean fast_paths/
-//                                  block_engine, positive host_mips, and
-//                                  complete fast on/off (+ block on/off)
-//                                  pairings
+//   lcheck --bench-sim FILE        BENCH_sim.json trajectory rows:
+//                                  exactly one fast_paths off and on row
+//                                  per model plus liquid_system_flight
+//                                  on, boolean fast_paths, positive
+//                                  host_mips
 //
 // Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO error.
 #include <cctype>
@@ -579,10 +579,12 @@ int check_bench_sim(const std::string& file, const std::string& text) {
   }
   if (doc->array.empty()) return complain(file, "no measurement rows");
 
-  static const std::set<std::string> kModels = {
-      "integer_unit", "leon_pipeline", "liquid_system",
-      "liquid_system_flight"};
-  // (model, fast_paths, block_engine) triples seen, for pairing checks.
+  // The exact row set: one reference (fast_paths=false) and one fast row
+  // per model, plus the flight-recorder overhead row on the fast path.
+  static const std::set<std::string> kRows = {
+      "integer_unit/slow",  "integer_unit/fast",  "leon_pipeline/slow",
+      "leon_pipeline/fast", "liquid_system/slow", "liquid_system/fast",
+      "liquid_system_flight/fast"};
   std::set<std::string> seen;
   std::size_t index = 0;
   for (const auto& row : doc->array) {
@@ -594,19 +596,13 @@ int check_bench_sim(const std::string& file, const std::string& text) {
     if (model == nullptr || !model->is(JsonValue::kString)) {
       return complain(file, at + " lacks string 'model'");
     }
-    if (kModels.count(model->string) == 0) {
-      return complain(file, at + " unknown model '" + model->string + "'");
-    }
     const JsonValue* fast = row->get("fast_paths");
-    const JsonValue* block = row->get("block_engine");
-    if (fast == nullptr || !fast->is(JsonValue::kBool) || block == nullptr ||
-        !block->is(JsonValue::kBool)) {
-      return complain(file,
-                      at + " lacks boolean 'fast_paths'/'block_engine'");
+    if (fast == nullptr || !fast->is(JsonValue::kBool)) {
+      return complain(file, at + " lacks boolean 'fast_paths'");
     }
-    if (block->boolean && model->string != "integer_unit") {
-      return complain(file, at + " block_engine=true on '" + model->string +
-                                "' (only the functional model has that tier)");
+    if (row->get("block_engine") != nullptr) {
+      return complain(file, at + " carries 'block_engine' (the block engine "
+                                 "is part of fast_paths, not a row axis)");
     }
     for (const char* key : {"host_mips", "cycles_per_sec", "secs"}) {
       const JsonValue* v = row->get(key);
@@ -620,27 +616,17 @@ int check_bench_sim(const std::string& file, const std::string& text) {
       return complain(file,
                       at + " lacks non-negative number 'instructions'");
     }
-    const std::string key = model->string +
-                            (fast->boolean ? "/fast" : "/slow") +
-                            (block->boolean ? "/block" : "");
+    const std::string key =
+        model->string + (fast->boolean ? "/fast" : "/slow");
+    if (kRows.count(key) == 0) {
+      return complain(file, at + " unexpected row " + key);
+    }
     if (!seen.insert(key).second) {
       return complain(file, at + " duplicates " + key);
     }
   }
-
-  // Pairing: every model measured with the host fast paths both on and
-  // off, and the functional model's block tier paired with its block-off
-  // fast row.  (The flight-recorder variant exists only as a fast-path
-  // overhead row.)
-  for (const char* m : {"integer_unit", "leon_pipeline", "liquid_system"}) {
-    for (const char* leg : {"/slow", "/fast"}) {
-      if (seen.count(std::string(m) + leg) == 0) {
-        return complain(file, std::string("missing ") + m + leg + " row");
-      }
-    }
-  }
-  if (seen.count("integer_unit/fast/block") == 0) {
-    return complain(file, "missing integer_unit block_engine=true row");
+  for (const std::string& key : kRows) {
+    if (seen.count(key) == 0) return complain(file, "missing " + key + " row");
   }
   std::printf("lcheck: %s: %zu measurement row(s), pairings complete\n",
               file.c_str(), doc->array.size());

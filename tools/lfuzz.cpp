@@ -59,12 +59,10 @@ int usage() {
       "                    at the first\n"
       "  --inject-bug      enable the deliberate SUBX carry fault\n"
       "                    (fuzzer self-check; must end with exit 1)\n"
-      "  --no-fast-paths   force the host fast paths off everywhere\n"
-      "                    (predecode cache, batched run loop, block\n"
-      "                    engine) for A/B comparison against a default\n"
-      "                    campaign\n"
-      "  --no-block-engine force the block translation engine off on every\n"
-      "                    rotation entry (other fast paths stay on)\n"
+      "  --no-fast-paths   turn the host fast-path switch off on every\n"
+      "                    rotation entry (decode cache, block engine,\n"
+      "                    line mirror, batched run loop all off) for A/B\n"
+      "                    comparison against a default campaign\n"
       "  --replay FILE     differentially execute one .s repro and exit\n"
       "  --faults          run the fault-injection campaign instead of the\n"
       "                    differential fuzzer (exit 1 on any silent\n"
@@ -84,16 +82,14 @@ int usage() {
       "  --quiet           suppress progress lines\n"
       "\n"
       "configuration rotation (one entry per iteration, round-robin):\n"
-      "  entry      icache  dcache     wbuf  nwin  fast-paths  block-eng\n"
-      "  default    1K/32   1K/32 WT   1     8     on          on\n"
-      "  tiny       128/16  128/16 WT  1     8     on          on\n"
-      "  nocache    off     off        0     8     on          on\n"
-      "  wback      1K/32   1K/32 WB   1     8     on          on\n"
-      "  fewwin     1K/32   1K/32 WT   1     3     on          on\n"
-      "  slow       1K/32   1K/32 WT   1     8     off         off\n"
-      "  noblock    1K/32   1K/32 WT   1     8     on          off\n"
-      "--no-fast-paths forces the fast-paths and block-eng columns off on\n"
-      "every entry; --no-block-engine forces only block-eng off.\n");
+      "  entry      icache  dcache     wbuf  nwin  fast-paths\n"
+      "  default    1K/32   1K/32 WT   1     8     on\n"
+      "  tiny       128/16  128/16 WT  1     8     on\n"
+      "  nocache    off     off        0     8     on\n"
+      "  wback      1K/32   1K/32 WB   1     8     on\n"
+      "  fewwin     1K/32   1K/32 WT   1     3     on\n"
+      "  slow       1K/32   1K/32 WT   1     8     off\n"
+      "--no-fast-paths forces the fast-paths column off on every entry.\n");
   return 2;
 }
 
@@ -178,14 +174,7 @@ int replay(const std::string& path, const fuzz::FuzzConfig& cfg,
   fuzz::DiffOptions opt;
   opt.with_system = cfg.with_system && system_mode;
   opt.inject_subx_bug = cfg.inject_subx_bug;
-  if (cfg.disable_fast_paths) {
-    opt.pipeline.host_fast_paths = false;
-    opt.pipeline.cpu.host_decode_cache = false;
-    opt.pipeline.cpu.host_block_engine = false;
-  }
-  if (cfg.disable_block_engine) {
-    opt.pipeline.cpu.host_block_engine = false;
-  }
+  opt.pipeline.cpu.host_fast_paths = !cfg.disable_fast_paths;
   fuzz::DifferentialRunner runner(opt);
   const fuzz::DiffOutcome out = runner.run_source(
       source,
@@ -406,8 +395,6 @@ int main(int argc, char** argv) {
       cfg.inject_subx_bug = true;
     } else if (arg == "--no-fast-paths") {
       cfg.disable_fast_paths = true;
-    } else if (arg == "--no-block-engine") {
-      cfg.disable_block_engine = true;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -24,7 +24,6 @@
 #include "ctrl/client.hpp"
 #include "isa/disasm.hpp"
 #include "liquid/adaptation.hpp"
-#include "liquid/job_queue.hpp"
 #include "sasm/assembler.hpp"
 #include "sasm/runtime.hpp"
 #include "sasm/srec.hpp"
