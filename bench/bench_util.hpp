@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/span_log.hpp"
 #include "common/types.hpp"
 #include "sim/liquid_system.hpp"
 
@@ -70,8 +71,9 @@ inline constexpr u32 kPaperBound = 1000000;
 ///
 /// `--metrics-json` collects one metrics-registry snapshot per measured
 /// run (one table row) and writes them as one JSON document.
-/// `--perf-trace` records cycle-stamped spans on each attached node and
-/// writes a combined Chrome trace_event file (each run on its own track).
+/// `--perf-trace` attaches each node to one trace::SpanLog, one lane per
+/// run, and writes it as a Chrome trace_event file: every node episode a
+/// complete span stamped with host µs and its start/end node cycles.
 /// Construct at the top of main, attach_perf() each node before driving
 /// it, add_run() after each measurement, finish() before returning.
 class BenchIo {
@@ -106,9 +108,10 @@ class BenchIo {
   bool metrics_enabled() const { return !metrics_path_.empty(); }
   bool perf_enabled() const { return !trace_path_.empty(); }
 
-  /// Enable the node's perf tracer when --perf-trace was given.
-  void attach_perf(sim::LiquidSystem& node) const {
-    if (perf_enabled()) node.enable_perf_trace();
+  /// Attach the node to the bench's span log, on the next run's lane,
+  /// when --perf-trace was given.
+  void attach_perf(sim::LiquidSystem& node) {
+    if (perf_enabled()) node.attach_span_log(&spans_, 1, ++lanes_);
   }
 
   /// Record one measured run from an already-built snapshot — for rollups
@@ -117,15 +120,15 @@ class BenchIo {
     if (metrics_enabled()) runs_.emplace_back(label, std::move(snap));
   }
 
-  /// Record one measured run: snapshot the node's registry (and collect
-  /// its perf-trace events) under `label`.
+  /// Record one measured run: snapshot the node's registry under
+  /// `label`, and name its trace lane and detach it (closing open spans).
   void add_run(const std::string& label, sim::LiquidSystem& node) {
     if (metrics_enabled()) {
       runs_.emplace_back(label, node.metrics_snapshot());
     }
-    if (perf_enabled() && node.perf_tracer() != nullptr) {
-      node.perf_tracer()->close_open_spans();
-      traces_.emplace_back(label, node.perf_tracer()->events());
+    if (perf_enabled()) {
+      node.attach_span_log(nullptr);
+      spans_.set_thread_name(1, lanes_, label);
     }
   }
 
@@ -133,7 +136,14 @@ class BenchIo {
   bool finish() {
     bool ok = true;
     if (metrics_enabled()) ok &= write_metrics();
-    if (perf_enabled()) ok &= write_trace();
+    if (perf_enabled()) {
+      spans_.set_process_name(1, name_);
+      if (!spans_.write_chrome_json(trace_path_)) {
+        std::fprintf(stderr, "%s: cannot write %s\n", name_.c_str(),
+                     trace_path_.c_str());
+        ok = false;
+      }
+    }
     return ok;
   }
 
@@ -165,50 +175,13 @@ class BenchIo {
     return write_file(metrics_path_, out);
   }
 
-  bool write_trace() {
-    // Each run renders as its own track (tid) on a shared timeline; the
-    // per-node clocks all start at 0, so tracks align at their origins.
-    std::string out = "{\"traceEvents\":[\n";
-    bool first = true;
-    for (std::size_t run = 0; run < traces_.size(); ++run) {
-      const int tid = static_cast<int>(run) + 1;
-      if (!first) out += ",\n";
-      first = false;
-      out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-      out += std::to_string(tid);
-      out += ",\"args\":{\"name\":";
-      metrics::append_json_string(out, traces_[run].first);
-      out += "}}";
-      for (const auto& e : traces_[run].second) {
-        out += ",\n{\"name\":";
-        metrics::append_json_string(out, e.name);
-        out += ",\"cat\":\"liquid\",\"ph\":\"";
-        out += e.phase;
-        out += "\",\"ts\":";
-        metrics::append_json_number(out, static_cast<double>(e.ts));
-        out += ",\"pid\":1,\"tid\":";
-        out += std::to_string(tid);
-        if (e.phase == 'C') {
-          out += ",\"args\":{\"value\":";
-          metrics::append_json_number(out, e.value);
-          out += '}';
-        } else if (e.phase == 'i') {
-          out += ",\"s\":\"t\"";
-        }
-        out += '}';
-      }
-    }
-    out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return write_file(trace_path_, out);
-  }
-
   std::string name_;
   std::string metrics_path_;
   std::string trace_path_;
   bool bad_args_ = false;
   std::vector<std::pair<std::string, metrics::Snapshot>> runs_;
-  std::vector<std::pair<std::string, std::vector<sim::PerfTracer::Event>>>
-      traces_;
+  trace::SpanLog spans_;
+  u32 lanes_ = 0;  // runs attached so far; run k traces on tid k
 };
 
 }  // namespace la::bench

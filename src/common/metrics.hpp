@@ -6,8 +6,8 @@
 // reproduction keeps counters; this registry gives them one hierarchical
 // namespace (`cache.d.read_misses`, `sdram.wait_cycles`, ...), one
 // snapshot operation stamped with the node clock, and one machine-readable
-// JSON form — so reports, benches, the STATS_SNAPSHOT control command, and
-// the perf tracer all read the same numbers.
+// JSON form — so reports, benches, and the STATS_SNAPSHOT control command
+// all read the same numbers.
 //
 // Two ways to put a metric in the registry:
 //   * owned primitives — counter()/gauge()/histogram() return references

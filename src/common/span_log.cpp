@@ -84,6 +84,17 @@ void append_span_fields(std::string& out, const Span& s) {
   out += '"';
 }
 
+void append_cycle_fields(std::string& out, const Span& s) {
+  if (s.start_cycle != 0) {
+    out += ",\"start_cycle\":";
+    metrics::append_json_number(out, static_cast<double>(s.start_cycle));
+  }
+  if (s.cycle != 0) {
+    out += ",\"cycle\":";
+    metrics::append_json_number(out, static_cast<double>(s.cycle));
+  }
+}
+
 bool write_text(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -151,10 +162,7 @@ std::string SpanLog::to_chrome_json() const {
       out += ",\"note\":";
       metrics::append_json_string(out, s.note);
     }
-    if (s.cycle != 0) {
-      out += ",\"cycle\":";
-      metrics::append_json_number(out, static_cast<double>(s.cycle));
-    }
+    append_cycle_fields(out, s);
     out += "}}";
   }
   out += "\n],\"displayTimeUnit\":\"ms\"}\n";
@@ -177,10 +185,7 @@ std::string SpanLog::to_jsonl() const {
     metrics::append_json_number(out, s.start_us);
     out += ",\"dur_us\":";
     metrics::append_json_number(out, s.dur_us);
-    if (s.cycle != 0) {
-      out += ",\"cycle\":";
-      metrics::append_json_number(out, static_cast<double>(s.cycle));
-    }
+    append_cycle_fields(out, s);
     if (!s.note.empty()) {
       out += ",\"note\":";
       metrics::append_json_string(out, s.note);

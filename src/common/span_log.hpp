@@ -11,7 +11,12 @@
 //
 // The log merges every node into one timeline: host microseconds since
 // the log's epoch (nodes run concurrently on worker threads, so the node
-// cycle counters are not comparable; the host clock is).  Exports:
+// cycle counters are not comparable; the host clock is).  A span may also
+// carry the node cycles it started and ended at, so one record places an
+// episode on both clocks; a node attached with
+// LiquidSystem::attach_span_log() emits its own episodes (reconfigure,
+// program.load, program.run, fault markers) that way.  An instant is a
+// span of zero duration.  Exports:
 //   * Chrome trace_event JSON — one process lane per node (stable pid),
 //     one thread lane per worker (tid), named with metadata records, so
 //     an 8-node run opens in ui.perfetto.dev with distinct lanes;
@@ -59,6 +64,7 @@ struct Span {
   u32 tid = 1;          // thread lane within the process
   double start_us = 0;  // host microseconds since the log's epoch
   double dur_us = 0;
+  u64 start_cycle = 0;  // node cycle at span start, when known
   u64 cycle = 0;        // node cycle at span end, when known
 };
 

@@ -54,16 +54,10 @@ LiquidFarm::LiquidFarm(FarmConfig cfg)
         *w->node, cache_, syn_, server_cfg);
     if (cfg_.warm_start) w->server->set_warm_pool(&warm_pool_);
     w->current_key = w->server->current().key();
-    const u32 pid = static_cast<u32>(i) + 1;  // process lane: node i
-    const std::string node_name = "node " + std::to_string(i);
     if (cfg_.tracing) {
-      span_log_.set_process_name(pid, node_name);
+      const u32 pid = static_cast<u32>(i) + 1;  // process lane: node i
+      span_log_.set_process_name(pid, "node " + std::to_string(i));
       span_log_.set_thread_name(pid, 1, "worker " + std::to_string(i));
-    }
-    if (cfg_.perf_trace) {
-      sim::PerfTracer& pt = w->node->enable_perf_trace();
-      pt.set_lane(pid, 1);
-      pt.set_names(node_name, "worker " + std::to_string(i));
     }
     workers_.push_back(std::move(w));
   }
@@ -442,19 +436,6 @@ FarmReport LiquidFarm::report() {
 
   rep.fleet = fleet.snapshot();
   return rep;
-}
-
-std::string LiquidFarm::merged_perf_trace() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_results_.wait(lk, [&] { return shutdown_ || fleet_idle_locked(); });
-  std::vector<std::string> traces;
-  traces.reserve(workers_.size());
-  for (const auto& w : workers_) {
-    if (sim::PerfTracer* pt = w->node->perf_tracer()) {
-      traces.push_back(pt->to_chrome_json());
-    }
-  }
-  return sim::merge_chrome_traces(traces);
 }
 
 std::string FarmReport::text() const {

@@ -61,10 +61,6 @@ struct FarmConfig {
   /// per node.  report() folds per-phase latency histograms into the
   /// fleet registry as farm.phase.*.
   bool tracing = false;
-  /// Give each node a perf tracer on its own pid/tid lane so
-  /// merged_perf_trace() yields one multi-process Chrome trace.  Forces
-  /// the nodes onto the per-step run path (observability is not free).
-  bool perf_trace = false;
   /// Self-healing: a job whose failure smells like a node fault
   /// (JobResult::node_fault — watchdog trip, silent node) is requeued at
   /// the head of the queue and retried — on any healthy node — up to this
@@ -198,17 +194,13 @@ class LiquidFarm {
   trace::SpanLog& span_log() { return span_log_; }
   const trace::SpanLog& span_log() const { return span_log_; }
 
-  /// Direct node access for pre-start setup (arming fault injectors,
-  /// flight recorders, perf tracers).  Only safe on an autostart=false
-  /// farm before start() — the workers hold at their gate and have not
-  /// touched their nodes yet — or after drain() with no new submissions.
+  /// Direct node access for pre-start setup (arming fault injectors or
+  /// flight recorders).  Only safe on an autostart=false farm before
+  /// start() — the workers hold at their gate and have not touched their
+  /// nodes yet — or after drain() with no new submissions.
   sim::LiquidSystem& node_for_setup(std::size_t i) {
     return *workers_.at(i)->node;
   }
-
-  /// One Chrome trace merging every node's perf tracer (requires
-  /// FarmConfig::perf_trace); waits for the fleet to go idle first.
-  std::string merged_perf_trace();
 
  private:
   struct Worker {

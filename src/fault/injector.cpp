@@ -58,7 +58,7 @@ void FaultInjector::fire_matching(TriggerKind kind, u64 observed,
     sys_.metrics().counter("fault.injected").inc();
     sys_.metrics().counter("fault.site." + site).inc();
     if (!landed) sys_.metrics().counter("fault.missed").inc();
-    if (auto* perf = sys_.perf_tracer()) perf->instant("fault." + site);
+    sys_.span_instant("fault." + site);
     if (auto* fr = sys_.flight_recorder()) {
       fr->record(sys_.now(), sim::FlightEventKind::kFaultFired,
                  static_cast<u64>(e.action.site), e.action.addr);

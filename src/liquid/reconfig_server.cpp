@@ -73,11 +73,35 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
                                          Addr result_addr, u16 result_words,
                                          TraceAnalyzer* analyzer,
                                          trace::JobTrace jt) {
+  const std::string span = "job " + arch.key();
+  node_.span_begin(span);
+  JobResult r = execute(arch, program, result_addr, result_words, analyzer, jt);
+  node_.span_end(span);
+  return r;
+}
+
+void ReconfigurationServer::donate_snapshot(const std::string& key,
+                                            const trace::JobTrace& jt) {
+  // Never a poisoned state: a snapshot of a wedged CPU restored fleet-wide
+  // would spread the fault to every node with an affinity miss.  A key the
+  // pool already holds is not captured again.
+  if (warm_pool_ == nullptr || node_.cpu().wedged() ||
+      warm_pool_->contains(key)) {
+    return;
+  }
+  const double t0 = jt.now_us();
+  warm_pool_->put(key, node_.snapshot());
+  jt.phase("snapshot", t0, jt.now_us(), node_.now(), key);
+}
+
+JobResult ReconfigurationServer::execute(const ArchConfig& arch,
+                                         const sasm::Image& program,
+                                         Addr result_addr, u16 result_words,
+                                         TraceAnalyzer* analyzer,
+                                         const trace::JobTrace& jt) {
   JobResult r;
   r.config = arch;
   ++stats_.jobs;
-  const sim::PerfTracer::Span span(node_.perf_tracer(),
-                                   "job " + arch.key());
 
   if (!arch.valid()) {
     ++stats_.failures;
@@ -130,12 +154,6 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
     } else {
       node_.reconfigure(arch.to_pipeline());
       node_.run(100);  // let the fresh boot reach its polling loop
-      // Donate the post-boot state — but never a poisoned one: a snapshot
-      // of a wedged CPU restored fleet-wide would spread the fault to
-      // every node with an affinity miss.
-      if (warm_pool_ != nullptr && !node_.cpu().wedged()) {
-        warm_pool_->put(boot_key, node_.snapshot());
-      }
     }
     r.reconfigured = true;
     r.reprogram_seconds = static_cast<double>(got.bitfile->size_bytes) /
@@ -145,6 +163,9 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
     current_ = arch;
     jt.phase("reconfigure", cfg_t0, jt.now_us(), node_.now(),
              warm_boot ? arch.key() + " warm_start" : arch.key());
+    // Donate the post-boot state; the capture is its own phase, outside
+    // the reconfigure span.
+    if (!warm_boot) donate_snapshot(boot_key, jt);
   }
 
   // 3. Load and execute over the control network.
@@ -203,11 +224,7 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
       node_.cpu().reset_stats();
       if (auto loaded = client.load_program(program); !loaded) return loaded;
       jt.phase("load", load_t0, jt.now_us(), node_.now());
-      // Same poison guard as the boot pool: a wedge that landed during
-      // the load must not become every sibling's starting state.
-      if (!node_.cpu().wedged()) {
-        warm_pool_->put(prog_key, node_.snapshot());
-      }
+      donate_snapshot(prog_key, jt);
     }
     if (auto started = client.start(program.entry); !started) return started;
     return client.await_done(10'000'000);

@@ -79,8 +79,9 @@ class ReconfigurationServer {
 
   /// Run `program` under `arch`, reading `result_words` words back from
   /// `result_addr` afterwards.  An optional analyzer traces the run; an
-  /// active JobTrace gets a span per phase (synthesis, reconfigure, and —
-  /// via the control client — load, run, readback).
+  /// active JobTrace gets a span per phase (synthesis, reconfigure,
+  /// snapshot, and — via the control client — load, run, readback).  A
+  /// span log attached to the node gets one `job <key>` span around it.
   JobResult run_job(const ArchConfig& arch, const sasm::Image& program,
                     Addr result_addr, u16 result_words,
                     TraceAnalyzer* analyzer = nullptr,
@@ -107,6 +108,14 @@ class ReconfigurationServer {
   const Stats& stats() const { return stats_; }
 
  private:
+  JobResult execute(const ArchConfig& arch, const sasm::Image& program,
+                    Addr result_addr, u16 result_words,
+                    TraceAnalyzer* analyzer, const trace::JobTrace& jt);
+  /// Capture the node into the warm pool under `key` as the job's
+  /// `snapshot` phase (skipped without a pool, on a wedged CPU, or when
+  /// the pool already holds `key`).
+  void donate_snapshot(const std::string& key, const trace::JobTrace& jt);
+
   sim::LiquidSystem& node_;
   ReconfigurationCache& cache_;
   const SynthesisModel& syn_;

@@ -295,7 +295,6 @@ void LiquidSystem::ingress_frame(std::span<const u8> frame) {
     while (auto resp = pktgen_->pop()) {
       egress_.push_back(wrappers_.egress_frame(*resp));
     }
-    observe_ctrl_state();
   }
   if (ingress_hook_) ingress_hook_();
 }
@@ -331,7 +330,6 @@ cpu::StepResult LiquidSystem::step() {
   while (auto resp = pktgen_->pop()) {
     egress_.push_back(wrappers_.egress_frame(*resp));
   }
-  if (perf_) observe_ctrl_state();
   return r;
 }
 
@@ -435,7 +433,7 @@ bool LiquidSystem::run_until(net::LeonState state, u64 max_steps) {
 }
 
 void LiquidSystem::reconfigure(const cpu::PipelineConfig& pcfg) {
-  if (perf_) perf_->begin("reconfigure");
+  span_begin("reconfigure");
   metrics_.counter("sim.reconfigurations").inc();
   cfg_.pipeline = pcfg;
   pipe_ = std::make_unique<cpu::LeonPipeline>(pcfg, bus_, &clock_,
@@ -443,7 +441,7 @@ void LiquidSystem::reconfigure(const cpu::PipelineConfig& pcfg) {
   pipe_->reset(map::kRomBase);
   // An active trace stream survives the new image.
   if (tracer_) pipe_->set_observer(tracer_.get());
-  if (perf_) perf_->end("reconfigure");
+  span_end("reconfigure");
 }
 
 void LiquidSystem::reset_cpu() {
@@ -478,12 +476,62 @@ void LiquidSystem::disable_trace_stream() {
   }
 }
 
-PerfTracer& LiquidSystem::enable_perf_trace() {
-  if (!perf_) {
-    perf_ = std::make_unique<PerfTracer>(&clock_);
-    traced_ctrl_state_ = ctrl_->state();
+void LiquidSystem::attach_span_log(trace::SpanLog* log, u32 pid, u32 tid) {
+  flush_spans();
+  spans_ = log;
+  span_pid_ = pid;
+  span_tid_ = tid;
+  if (spans_ != nullptr) span_root_ = spans_->mint();
+}
+
+void LiquidSystem::span_begin(std::string name) {
+  if (spans_ == nullptr) return;
+  open_spans_.push_back({std::move(name), spans_->now_us(), clock_});
+}
+
+void LiquidSystem::span_end(const std::string& name) {
+  // Close the innermost open span of that name.
+  const auto it =
+      std::find_if(open_spans_.rbegin(), open_spans_.rend(),
+                   [&](const OpenSpan& o) { return o.name == name; });
+  if (it == open_spans_.rend()) return;
+  OpenSpan open = std::move(*it);
+  open_spans_.erase(std::next(it).base());
+  emit_span(std::move(open), spans_->now_us());
+}
+
+void LiquidSystem::span_instant(std::string name) {
+  if (spans_ == nullptr) return;
+  const double now = spans_->now_us();
+  emit_span({std::move(name), now, clock_}, now);
+}
+
+void LiquidSystem::flush_spans() {
+  while (!open_spans_.empty()) {
+    OpenSpan open = std::move(open_spans_.back());
+    open_spans_.pop_back();
+    emit_span(std::move(open), spans_->now_us());
   }
-  return *perf_;
+}
+
+void LiquidSystem::emit_span(OpenSpan open, double end_us) {
+  trace::TraceContext parent = span_root_;
+  if (ctrl_->trace_id() != 0) {
+    parent.trace_id = ctrl_->trace_id();
+    parent.span_id = ctrl_->trace_span_id();
+  }
+  trace::Span s;
+  s.trace_id = parent.trace_id;
+  s.span_id = spans_->child(parent).span_id;
+  s.parent_span_id = parent.span_id;
+  s.name = std::move(open.name);
+  s.pid = span_pid_;
+  s.tid = span_tid_;
+  s.start_us = open.start_us;
+  s.dur_us = end_us > open.start_us ? end_us - open.start_us : 0.0;
+  s.start_cycle = open.start_cycle;
+  s.cycle = clock_;
+  spans_->add(std::move(s));
 }
 
 FlightRecorder& LiquidSystem::enable_flight_recorder() {
@@ -505,6 +553,16 @@ std::string LiquidSystem::take_flight_dump(const std::string& reason) const {
 
 void LiquidSystem::on_ctrl_transition(net::LeonState prev,
                                       net::LeonState next) {
+  if (spans_ != nullptr) {
+    // Span edges follow the leon_ctrl state machine: LOADING brackets the
+    // user-port program download, RUNNING brackets the measured execution
+    // window (Start -> return to the polling loop, the §4 measurement).
+    if (prev == net::LeonState::kLoading) span_end("program.load");
+    if (prev == net::LeonState::kRunning) span_end("program.run");
+    if (next == net::LeonState::kLoading) span_begin("program.load");
+    if (next == net::LeonState::kRunning) span_begin("program.run");
+    if (next == net::LeonState::kError) span_instant("leon_ctrl.error");
+  }
   if (!flight_) return;
   flight_->record(clock_, FlightEventKind::kCtrlState,
                   static_cast<u64>(prev), static_cast<u64>(next));
@@ -533,32 +591,6 @@ void LiquidSystem::sync_watchdog() {
     wdog_.disarm();
   }
   wdog_state_ = s;
-}
-
-void LiquidSystem::observe_ctrl_state() {
-  if (!perf_) return;
-  const net::LeonState s = ctrl_->state();
-  if (s == traced_ctrl_state_) return;
-  // Span edges follow the leon_ctrl state machine: LOADING brackets the
-  // user-port program download, RUNNING brackets the measured execution
-  // window (Start -> return to the polling loop, the §4 measurement).
-  if (traced_ctrl_state_ == net::LeonState::kLoading) {
-    perf_->end("program.load");
-  }
-  if (traced_ctrl_state_ == net::LeonState::kRunning) {
-    perf_->end("program.run");
-    // Sample the registry at the run boundary: each measured window gets
-    // a counter row on the timeline.
-    perf_->sample(metrics_snapshot(), "cpu.");
-    perf_->sample(metrics_snapshot(), "cache.");
-  }
-  switch (s) {
-    case net::LeonState::kLoading: perf_->begin("program.load"); break;
-    case net::LeonState::kRunning: perf_->begin("program.run"); break;
-    case net::LeonState::kError: perf_->instant("leon_ctrl.error"); break;
-    default: break;
-  }
-  traced_ctrl_state_ = s;
 }
 
 }  // namespace la::sim

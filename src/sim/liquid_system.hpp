@@ -12,6 +12,7 @@
 #include "bus/peripherals.hpp"
 #include "bus/watchdog.hpp"
 #include "common/metrics.hpp"
+#include "common/span_log.hpp"
 #include "cpu/leon_pipeline.hpp"
 #include "mem/ahb_sdram_adapter.hpp"
 #include "mem/boot_rom.hpp"
@@ -24,7 +25,6 @@
 #include "net/trace_stream.hpp"
 #include "net/wrappers.hpp"
 #include "sim/flight_recorder.hpp"
-#include "sim/perf_trace.hpp"
 
 namespace la::sim {
 
@@ -138,18 +138,33 @@ class LiquidSystem {
     return metrics_.snapshot(clock_);
   }
 
-  /// Attach a cycle-stamped perf tracer.  The system records spans for
-  /// reconfigurations and leon_ctrl episodes (program.load, program.run)
-  /// and samples key counters at run boundaries; callers add their own
-  /// spans via the returned tracer.  Idempotent.
-  PerfTracer& enable_perf_trace();
-  PerfTracer* perf_tracer() { return perf_.get(); }
+  /// Attach a span sink: the node's episodes land in `log` as complete
+  /// spans on lane `pid`/`tid`, each stamped with host µs and with the
+  /// node cycles it started and ended at — `reconfigure`, `program.load`
+  /// and `program.run` (leon_ctrl LOADING / RUNNING entered -> left), a
+  /// zero-duration `leon_ctrl.error` on the error transition, and what
+  /// callers open through span_begin()/span_instant() (the reconfig
+  /// server's `job <key>`, the fault injector's `fault.<site>`).  Each
+  /// span takes the trace id the controller holds from SET_TRACE, else
+  /// one minted here.  The leon_ctrl state observer drives the spans on
+  /// both run paths, so an attached log leaves the batched loop engaged.
+  /// Null detaches (flushing first); the log must outlive the attachment.
+  void attach_span_log(trace::SpanLog* log, u32 pid = 1, u32 tid = 1);
+  /// Open / close one node episode; no-ops without an attached log.  An
+  /// end with no open span of that name is dropped.
+  void span_begin(std::string name);
+  void span_end(const std::string& name);
+  /// A zero-duration span stamped now.
+  void span_instant(std::string name);
+  /// Close every still-open episode at the current stamp (a run cut off
+  /// by its step budget leaves program.run open); exporters call this.
+  void flush_spans();
 
   /// Arm the black-box flight recorder: sampled retired PCs, traps,
   /// leon_ctrl transitions, watchdog trips, injected-fault firings land in
-  /// a fixed ring.  Unlike the perf tracer it does NOT force the per-step
-  /// run path — recording is a pointer test plus a few stores, so it can
-  /// stay on in production.  Idempotent.
+  /// a fixed ring.  It does NOT force the per-step run path — recording
+  /// is a pointer test plus a few stores, so it can stay on in
+  /// production.  Idempotent.
   FlightRecorder& enable_flight_recorder();
   FlightRecorder* flight_recorder() { return flight_.get(); }
 
@@ -204,10 +219,9 @@ class LiquidSystem {
  private:
   /// Bridge every component's counters into the registry (constructor).
   void register_metrics();
-  /// Emit perf-trace spans when the leon_ctrl state machine moves.
-  void observe_ctrl_state();
-  /// leon_ctrl state observer: record the transition in the flight
-  /// recorder and auto-dump on entry to kError (§4.1 post-mortem).
+  /// leon_ctrl state observer: emit the episode spans, record the
+  /// transition in the flight recorder and auto-dump on entry to kError
+  /// (§4.1 post-mortem).
   void on_ctrl_transition(net::LeonState prev, net::LeonState next);
   /// Arm/disarm the watchdog as the leon_ctrl state machine moves (called
   /// from both step() and ingress_frame() — Start arrives on the network
@@ -222,7 +236,7 @@ class LiquidSystem {
   /// step budget.  Returns whether `until` was reached.
   bool run_batched(u64 max_steps, const net::LeonState* until);
   bool slow_run_path() const {
-    return !cfg_.pipeline.cpu.host_fast_paths || step_hook_armed_ || perf_ != nullptr ||
+    return !cfg_.pipeline.cpu.host_fast_paths || step_hook_armed_ ||
            tracer_ != nullptr;
   }
 
@@ -255,7 +269,18 @@ class LiquidSystem {
   std::deque<Bytes> egress_;
 
   metrics::MetricsRegistry metrics_;
-  std::unique_ptr<PerfTracer> perf_;
+  /// Span sink (attach_span_log) and the episodes still open on it.
+  struct OpenSpan {
+    std::string name;
+    double start_us;
+    Cycles start_cycle;
+  };
+  void emit_span(OpenSpan open, double end_us);
+  trace::SpanLog* spans_ = nullptr;
+  u32 span_pid_ = 1;
+  u32 span_tid_ = 1;
+  trace::TraceContext span_root_;  // minted at attach: no SET_TRACE yet
+  std::vector<OpenSpan> open_spans_;
   std::unique_ptr<FlightRecorder> flight_;
   std::string last_flight_dump_;
   /// Watchdog-trip count already attributed to a recorded kWatchdog event
@@ -263,7 +288,6 @@ class LiquidSystem {
   u64 seen_wdog_trips_ = 0;
   /// Previous-window snapshot for the STATS_STREAM delta provider.
   metrics::Snapshot stream_prev_;
-  net::LeonState traced_ctrl_state_ = net::LeonState::kIdle;
   net::LeonState wdog_state_ = net::LeonState::kIdle;
   StepHook step_hook_;
   bool step_hook_armed_ = false;

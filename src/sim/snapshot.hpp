@@ -26,6 +26,7 @@
 // restoring system.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,14 +64,19 @@ struct SystemSnapshot {
 
 /// Shared warm-start pool: snapshot per key ("boot|<arch>" for post-boot
 /// images, "prog|<arch>|<digest>" for post-load images), first writer wins.
+/// Holds at most kCapacity entries (~6 MB each) and evicts the least
+/// recently used one to make room; a get() hit counts as a use.
 /// Thread-safe; snapshots are immutable once published, so readers share
 /// them by shared_ptr without copying the (multi-MB) blob.
 class SnapshotPool {
  public:
+  static constexpr std::size_t kCapacity = 32;
+
   struct Stats {
     u64 hits = 0;
     u64 misses = 0;
     u64 inserts = 0;
+    u64 evictions = 0;
   };
 
   /// Snapshot for `key`, or null (counts a hit/miss).
@@ -82,7 +88,8 @@ class SnapshotPool {
       return nullptr;
     }
     ++stats_.hits;
-    return it->second;
+    it->second.last_use = ++clock_;
+    return it->second.snap;
   }
 
   /// Publish a snapshot for `key`.  An existing entry wins (the first
@@ -90,7 +97,17 @@ class SnapshotPool {
   void put(const std::string& key, SystemSnapshot snap) {
     auto sp = std::make_shared<const SystemSnapshot>(std::move(snap));
     std::lock_guard lk(mu_);
-    if (pool_.emplace(key, std::move(sp)).second) ++stats_.inserts;
+    if (pool_.count(key) != 0) return;
+    if (pool_.size() >= kCapacity) {
+      const auto lru = std::min_element(
+          pool_.begin(), pool_.end(), [](const auto& a, const auto& b) {
+            return a.second.last_use < b.second.last_use;
+          });
+      pool_.erase(lru);
+      ++stats_.evictions;
+    }
+    pool_.emplace(key, Entry{std::move(sp), ++clock_});
+    ++stats_.inserts;
   }
 
   bool contains(const std::string& key) const {
@@ -107,7 +124,7 @@ class SnapshotPool {
   std::size_t bytes() const {
     std::lock_guard lk(mu_);
     std::size_t n = 0;
-    for (const auto& [k, v] : pool_) n += v->size_bytes();
+    for (const auto& [k, v] : pool_) n += v.snap->size_bytes();
     return n;
   }
 
@@ -117,8 +134,13 @@ class SnapshotPool {
   }
 
  private:
+  struct Entry {
+    std::shared_ptr<const SystemSnapshot> snap;
+    u64 last_use = 0;  // clock_ at insert or last get() hit
+  };
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const SystemSnapshot>> pool_;
+  std::map<std::string, Entry> pool_;
+  u64 clock_ = 0;
   Stats stats_;
 };
 

@@ -1,5 +1,6 @@
 // SpanLog: trace-identity minting, span capture, the Chrome / JSONL
-// exports, and the per-phase latency fold into a MetricsRegistry.
+// exports (node cycles and zero-duration instants included), and the
+// per-phase latency fold into a MetricsRegistry.
 #include "common/span_log.hpp"
 
 #include <gtest/gtest.h>
@@ -115,6 +116,65 @@ TEST(SpanLog, ChromeExportCarriesLaneMetadataAndCompleteEvents) {
   // The span rides on its node's lane with its trace identity in args.
   EXPECT_NE(j.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(j.find("000000000000abcd"), std::string::npos);
+}
+
+TEST(SpanLog, LaneNamesLandAsMetadataRecordsOnTheirLane) {
+  SpanLog log;
+  log.set_process_name(3, "node 2");
+  log.set_thread_name(3, 2, "worker 2");
+  Span s;
+  s.trace_id = 1;
+  s.name = "mark";
+  s.pid = 3;
+  s.tid = 2;
+  log.add(s);
+
+  const std::string j = log.to_chrome_json();
+  // Metadata names the lane; the event rides on it.
+  EXPECT_NE(j.find("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,"
+                   "\"tid\":0,\"args\":{\"name\":\"node 2\"}}"),
+            std::string::npos);
+  EXPECT_NE(j.find("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":3,"
+                   "\"tid\":2,\"args\":{\"name\":\"worker 2\"}}"),
+            std::string::npos);
+  EXPECT_NE(j.find("\"name\":\"mark\""), std::string::npos);
+  EXPECT_NE(j.find("\"pid\":3,\"tid\":2"), std::string::npos);
+}
+
+TEST(SpanLog, InstantExportsWithZeroDurationAndBothCycles) {
+  SpanLog log;
+  Span s;
+  s.trace_id = 3;
+  s.span_id = 4;
+  s.name = "fault.sram";
+  s.start_us = 9.0;
+  s.start_cycle = 1200;
+  s.cycle = 1200;
+  log.add(s);
+
+  const std::string j = log.to_chrome_json();
+  EXPECT_NE(j.find("\"ph\":\"X\",\"ts\":9,\"dur\":0,"), std::string::npos);
+  EXPECT_NE(j.find("\"start_cycle\":1200,\"cycle\":1200"), std::string::npos);
+  const std::string l = log.to_jsonl();
+  EXPECT_NE(l.find("\"dur_us\":0,\"start_cycle\":1200,\"cycle\":1200"),
+            std::string::npos);
+}
+
+TEST(SpanLog, ChromeExportIsTimeOrderedAndOmitsUnknownCycles) {
+  SpanLog log;
+  for (const double start : {30.0, 10.0, 20.0}) {
+    Span s;
+    s.trace_id = 1;
+    s.name = "at" + std::to_string(static_cast<int>(start));
+    s.start_us = start;
+    s.dur_us = 1.0;
+    log.add(s);
+  }
+  const std::string j = log.to_chrome_json();
+  EXPECT_LT(j.find("\"at10\""), j.find("\"at20\""));
+  EXPECT_LT(j.find("\"at20\""), j.find("\"at30\""));
+  // A host-only span (no node clock) carries no cycle fields.
+  EXPECT_EQ(j.find("cycle"), std::string::npos);
 }
 
 TEST(SpanLog, JsonlEmitsOneObjectPerSpanInAppendOrder) {

@@ -49,6 +49,34 @@ TEST(FarmTrace, EveryJobCarriesADistinctTraceThroughItsPhases) {
   }
 }
 
+TEST(FarmTrace, ColdLoadCaptureIsASnapshotSpanOfItsJob) {
+  FarmConfig fc;
+  fc.nodes = 1;
+  fc.tracing = true;
+  LiquidFarm f(fc);
+  WorkloadGenerator gen;
+  ASSERT_TRUE(f.submit(gen.next().job));
+  f.drain();
+  const auto out = f.try_pop_result();
+  ASSERT_TRUE(out.has_value());
+  ASSERT_TRUE(out->result.ok) << out->result.error;
+
+  // The fleet's first job loads cold, so its post-LOAD state is captured
+  // into the warm pool — inside its own trace, as a `snapshot` phase.
+  bool cold_load = false;
+  std::set<std::string> captured;
+  for (const auto& s : f.span_log().spans()) {
+    if (s.trace_id != out->trace_id) continue;
+    if (s.name == "load" && s.note != "warm_start") cold_load = true;
+    if (s.name == "snapshot") {
+      EXPECT_GE(s.dur_us, 0.0);
+      captured.insert(s.note.substr(0, s.note.find('|')));
+    }
+  }
+  EXPECT_TRUE(cold_load);
+  EXPECT_EQ(captured.count("prog"), 1u);
+}
+
 TEST(FarmTrace, ReportFoldsPerPhaseLatencyHistograms) {
   FarmConfig fc;
   fc.nodes = 2;

@@ -6,12 +6,18 @@
 // control-plane error transition, and the fleet span log must tell the
 // job's causal story — queue wait through reconfiguration and run to the
 // error — under one trace id.  Plus the client-level telemetry commands:
-// STATS_STREAM delta windows, FLIGHT_DUMP, and SET_TRACE propagation.
+// STATS_STREAM delta windows, FLIGHT_DUMP, and SET_TRACE propagation, and
+// a node's own episode spans: an attached span log must not change the
+// run it observes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "ctrl/client.hpp"
@@ -19,7 +25,12 @@
 #include "fault/injector.hpp"
 #include "net/commands.hpp"
 #include "sasm/assembler.hpp"
+#include "sasm/runtime.hpp"
 #include "sim/liquid_system.hpp"
+
+#ifndef LA_PROGS_DIR
+#error "LA_PROGS_DIR must point at the progs/ directory"
+#endif
 
 namespace la::test {
 namespace {
@@ -119,6 +130,127 @@ TEST(Observability, RunProgramPropagatesTheJobTrace) {
   }
   EXPECT_EQ(names.count("load"), 1u);
   EXPECT_EQ(names.count("run"), 1u);
+}
+
+sasm::Image progs_image(const std::string& name, bool with_runtime) {
+  std::ifstream in(std::string(LA_PROGS_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return sasm::assemble_or_throw(
+      ss.str() + (with_runtime ? sasm::rt::runtime_source() : ""));
+}
+
+/// Boot `node`, then load and run `img` in small chunks over a lossy
+/// uplink.  On a clean link every LOAD chunk lands in one ingress burst,
+/// so the load takes no node cycles; the retransmits of dropped chunks
+/// arrive in later pump rounds, which gives program.load a cycle extent.
+void run_lossy(sim::LiquidSystem& node, const sasm::Image& img) {
+  node.run(100);
+  ctrl::ClientConfig cc;
+  cc.load_chunk = std::max<std::size_t>(16, img.data.size() / 64);
+  cc.uplink.drop = 0.2;
+  cc.uplink.seed = 5;
+  ctrl::LiquidClient client(node, cc);
+  ASSERT_TRUE(client.run_program(img));
+}
+
+TEST(Observability, AttachedSpanLogKeepsTheRunPath) {
+  for (const auto& [prog, rt] : {std::pair{"quicksort.s", true},
+                                 std::pair{"ipcksum.s", false}}) {
+    SCOPED_TRACE(prog);
+    const sasm::Image img = progs_image(prog, rt);
+    sim::LiquidSystem plain;
+    trace::SpanLog log;
+    sim::LiquidSystem traced;
+    traced.attach_span_log(&log);
+    run_lossy(plain, img);
+    run_lossy(traced, img);
+
+    EXPECT_EQ(traced.now(), plain.now());
+    EXPECT_EQ(traced.cpu().stats().instructions,
+              plain.cpu().stats().instructions);
+    EXPECT_EQ(traced.metrics_snapshot().to_json(),
+              plain.metrics_snapshot().to_json());
+
+    std::map<std::string, trace::Span> by_name;
+    for (const trace::Span& s : log.spans()) by_name[s.name] = s;
+    for (const char* name : {"program.load", "program.run"}) {
+      ASSERT_EQ(by_name.count(name), 1u) << name;
+      const trace::Span& s = by_name[name];
+      EXPECT_LT(s.start_cycle, s.cycle) << name;
+      EXPECT_NE(s.trace_id, 0u) << name;
+    }
+    EXPECT_EQ(by_name["program.run"].cycle,
+              by_name["program.run"].start_cycle +
+                  traced.controller().last_run_cycles());
+  }
+}
+
+TEST(Observability, FlushClosesARunCutOffByItsStepLimit) {
+  trace::SpanLog log;
+  sim::LiquidSystem node;
+  node.attach_span_log(&log);
+  node.run(300);
+  ctrl::LiquidClient client(node);
+  ASSERT_TRUE(client.set_trace(0xfeed, 0x77));
+  ASSERT_TRUE(client.load_program(loop_program()));
+  ASSERT_TRUE(client.start(0x40000100));
+  node.run(50);  // the loop needs ~1600 steps: program.run stays open
+  ASSERT_EQ(node.controller().state(), net::LeonState::kRunning);
+  for (const trace::Span& s : log.spans()) EXPECT_NE(s.name, "program.run");
+
+  node.flush_spans();
+  const std::vector<trace::Span> spans = log.spans();
+  ASSERT_FALSE(spans.empty());
+  const trace::Span& run = spans.back();
+  EXPECT_EQ(run.name, "program.run");
+  EXPECT_LT(run.start_cycle, run.cycle);
+  EXPECT_EQ(run.cycle, node.now());
+  // Spans carry the trace the controller holds from SET_TRACE.
+  EXPECT_EQ(run.trace_id, 0xfeedu);
+  EXPECT_EQ(run.parent_span_id, 0x77u);
+}
+
+TEST(Observability, NodeWithoutASpanLogRecordsNothing) {
+  sim::LiquidSystem node;
+  node.span_begin("before");
+  node.span_instant("mark");
+  node.flush_spans();
+  node.run(300);
+  ctrl::LiquidClient client(node);
+  ASSERT_TRUE(client.run_program(loop_program(), 2'000'000));
+
+  // Nothing was buffered for a later sink: attaching afterwards sees only
+  // what happens from then on, and an end with no open span is dropped.
+  trace::SpanLog log;
+  node.attach_span_log(&log);
+  node.span_end("before");
+  node.flush_spans();
+  EXPECT_EQ(log.size(), 0u);
+  node.span_instant("mark");
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_DOUBLE_EQ(log.spans()[0].dur_us, 0.0);
+  EXPECT_EQ(log.spans()[0].start_cycle, node.now());
+}
+
+TEST(Observability, AttachedNodeDropsTheEndOfAnUnopenedSpan) {
+  trace::SpanLog log;
+  sim::LiquidSystem node;
+  node.attach_span_log(&log);
+  node.span_end("never-begun");
+  EXPECT_EQ(log.size(), 0u);
+
+  // An end closes only a span of its own name; the other stays open
+  // until its own end.
+  node.span_begin("outer");
+  node.span_end("never-begun");
+  EXPECT_EQ(log.size(), 0u);
+  node.span_end("outer");
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.spans()[0].name, "outer");
+  node.span_end("outer");
+  EXPECT_EQ(log.size(), 1u);
 }
 
 TEST(Observability, WedgedFarmJobLeavesACausalTraceAndABlackBox) {

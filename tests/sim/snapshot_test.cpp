@@ -204,5 +204,52 @@ TEST(SnapshotPool, FirstWriterWinsAndCountsHits) {
   EXPECT_GT(pool.bytes(), 0u);
 }
 
+/// A tiny stand-in blob: the pool never parses what it holds.
+sim::SystemSnapshot blob(u8 tag) {
+  sim::SystemSnapshot s;
+  s.data = {tag};
+  return s;
+}
+
+TEST(SnapshotPool, EvictsTheLeastRecentlyUsedEntryAtCapacity) {
+  constexpr std::size_t kCap = sim::SnapshotPool::kCapacity;
+  sim::SnapshotPool pool;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    pool.put("k" + std::to_string(i), blob(static_cast<u8>(i)));
+  }
+  EXPECT_EQ(pool.size(), kCap);
+  EXPECT_EQ(pool.stats().evictions, 0u);
+
+  // Inserted in order k0, k1, ...: each new key pushes out the oldest.
+  pool.put("new0", blob(0));
+  pool.put("new1", blob(1));
+  EXPECT_EQ(pool.size(), kCap);
+  EXPECT_FALSE(pool.contains("k0"));
+  EXPECT_FALSE(pool.contains("k1"));
+  EXPECT_TRUE(pool.contains("k2"));
+  EXPECT_TRUE(pool.contains("new0"));
+  EXPECT_TRUE(pool.contains("new1"));
+  const auto st = pool.stats();
+  EXPECT_EQ(st.evictions, 2u);
+  EXPECT_EQ(st.inserts, kCap + 2);
+}
+
+TEST(SnapshotPool, AHitRefreshesItsEntry) {
+  constexpr std::size_t kCap = sim::SnapshotPool::kCapacity;
+  sim::SnapshotPool pool;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    pool.put("k" + std::to_string(i), blob(static_cast<u8>(i)));
+  }
+  // k0 is the oldest insert, but a get() makes it the most recent use;
+  // contains() and a losing put() are not uses.
+  ASSERT_NE(pool.get("k0"), nullptr);
+  EXPECT_TRUE(pool.contains("k1"));
+  pool.put("k1", blob(99));
+  pool.put("new", blob(0));
+  EXPECT_TRUE(pool.contains("k0"));
+  EXPECT_FALSE(pool.contains("k1"));
+  EXPECT_EQ(pool.stats().evictions, 1u);
+}
+
 }  // namespace
 }  // namespace la::test

@@ -74,8 +74,8 @@ int usage() {
                "                 handlers, rt_init) into the program\n"
                "  --metrics-json F  write the metrics-registry snapshot(s)\n"
                "                 of the run(s) to F as JSON\n"
-               "  --perf-trace F write a cycle-stamped Chrome trace_event\n"
-               "                 file of the run(s) to F\n"
+               "  --perf-trace F write the run(s)' node spans (host us +\n"
+               "                 node cycles) to F as Chrome trace_event\n"
                "  --prom F       write the run(s)' metrics as Prometheus\n"
                "                 text exposition to F (textfile collector)\n"
                "  (a .srec input file is loaded instead of assembled)\n");
@@ -100,8 +100,9 @@ bool write_text_file(const std::string& path, const std::string& text) {
 int run_one(const Options& opt, const sasm::Image& img) {
   liquid::SynthesisModel syn;
   liquid::ReconfigurationCache cache;
+  bench::BenchIo io("lsim", "", opt.perf_trace);
   sim::LiquidSystem node;
-  if (!opt.perf_trace.empty()) node.enable_perf_trace();
+  io.attach_perf(node);
   node.run(100);
   liquid::ServerConfig scfg;
   scfg.stream_traces = opt.trace || opt.recommend;
@@ -176,11 +177,8 @@ int run_one(const Options& opt, const sasm::Image& img) {
     std::fprintf(stderr, "cannot write %s\n", opt.metrics_json.c_str());
     return 1;
   }
-  if (!opt.perf_trace.empty() &&
-      !node.perf_tracer()->write_chrome_json(opt.perf_trace)) {
-    std::fprintf(stderr, "cannot write %s\n", opt.perf_trace.c_str());
-    return 1;
-  }
+  io.add_run(cfg.key(), node);
+  if (!io.finish()) return 1;
   if (!opt.prom.empty() &&
       !write_text_file(opt.prom, metrics::to_prometheus(
                                      node.metrics_snapshot(), "liquid_"))) {
