@@ -907,6 +907,16 @@ void add_edges(Mnemonic mn, std::vector<TestVector>& out) {
       if (isa::access_size(mn) == 8) sc.set_reg(7, 0x9abcdef0u);
       memop(sc, mn, kVecDataBase + 0x10, /*rd=*/6);
       add("user_privileged", sc);
+      if (isa::access_size(mn) == 8) {
+        // Odd rd as well: privileged_instruction (V8 priority 6) outranks
+        // illegal_instruction (7).
+        sc = fixed_base();
+        sc.psr.s = false;
+        sc.set_reg(6, 0x12345678u);
+        sc.set_reg(7, 0x9abcdef0u);
+        memop(sc, mn, kVecDataBase + 0x10, /*rd=*/7);
+        add("user_oddrd", sc);
+      }
       break;
     }
     case Mnemonic::kFpop1: {

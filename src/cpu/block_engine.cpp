@@ -3,15 +3,12 @@
 #include <algorithm>
 
 #include "cpu/integer_unit.hpp"
-#include "isa/traps.hpp"
+#include "cpu/sparc_semantics.hpp"
 
 namespace la::cpu {
 
 using isa::HandlerKind;
-
-namespace {
-constexpr u8 kNoTrap = static_cast<u8>(isa::Trap::kNone);
-}  // namespace
+using v8::kNoTrap;
 
 // -- Block cache ------------------------------------------------------------
 
@@ -59,7 +56,7 @@ BlockEngine::Block* BlockEngine::translate(IntegerUnit& iu, Addr pc,
     o.d = i.rd;
     if (o.kind == static_cast<u8>(isa::HandlerKind::kSethi)) {
       o.kind = static_cast<u8>(kOpAluImmBase + o.kind);
-      o.bimm = i.imm22 << 10;
+      o.bimm = v8::sethi(i.imm22);
     } else if (i.imm) {
       o.kind = static_cast<u8>(kOpAluImmBase + o.kind);
       o.bimm = static_cast<u32>(i.simm13);
@@ -225,6 +222,7 @@ u64 BlockEngine::exec(IntegerUnit& iu, Block* blk, u64 steps_left,
   u64 cyc_extra = 0;
   u64 ret_miss = 0;
   const bool irq_watch = iu.irq_level_ != 0;
+  const bool subx_quirk = iu.cfg_.quirk_subx_no_carry;
 
   // Branch-free register maps for the inline ALU handlers: rp[r]/wp[r]
   // point straight into the register file's backing store for the current
@@ -249,47 +247,22 @@ u64 BlockEngine::exec(IntegerUnit& iu, Block* blk, u64 steps_left,
   };
   rebuild_regmap(cached_cwp);
 
-// X-macro over the inline ALU handlers: (label stem, HandlerKind, body).
-// Each body mirrors the corresponding one-line case of
-// IntegerUnit::execute() verbatim (A/B are its `a`/`b` operands) and is
-// instantiated twice — a register form (B = rs2) and an immediate form
-// (B = simm13), selected by the translator via the i-bit.
-#define LA_BE_ALU_LIST(M)                                                  \
-  M(and, kAnd, LA_BE_RD(A & B))                                            \
-  M(andn, kAndn, LA_BE_RD(A & ~B))                                         \
-  M(or, kOr, LA_BE_RD(A | B))                                              \
-  M(xor, kXor, LA_BE_RD(A ^ B))                                            \
-  M(xnor, kXnor, LA_BE_RD(A ^ ~B))                                         \
-  M(sll, kSll, LA_BE_RD(A << (B & 31)))                                    \
-  M(srl, kSrl, LA_BE_RD(A >> (B & 31)))                                    \
-  M(sra, kSra,                                                             \
-    LA_BE_RD(static_cast<u32>(static_cast<i32>(A) >> (B & 31))))           \
-  M(sethi, kSethi, LA_BE_RD(B))                                            \
-  M(add, kAdd, LA_BE_RD(A + B))                                            \
-  M(addx, kAddx, LA_BE_RD(A + B + (st.psr.c ? 1 : 0)))                     \
-  M(sub, kSub, LA_BE_RD(A - B))                                            \
-  M(subx, kSubx,                                                           \
-    LA_BE_RD(A - B - (!iu.cfg_.quirk_subx_no_carry && st.psr.c ? 1 : 0)))  \
-  M(andcc, kAndcc, const u32 r = A & B; iu.set_icc_logic(r); LA_BE_RD(r))  \
-  M(orcc, kOrcc, const u32 r = A | B; iu.set_icc_logic(r); LA_BE_RD(r))    \
-  M(xorcc, kXorcc, const u32 r = A ^ B; iu.set_icc_logic(r); LA_BE_RD(r))  \
-  M(addcc, kAddcc, const u32 r = A + B; iu.set_icc_add(A, B, r, false);    \
-    LA_BE_RD(r))                                                           \
-  M(addxcc, kAddxcc, const bool cin = st.psr.c;                            \
-    const u32 r = A + B + (cin ? 1 : 0); iu.set_icc_add(A, B, r, cin);     \
-    LA_BE_RD(r))                                                           \
-  M(subcc, kSubcc, const u32 r = A - B; iu.set_icc_sub(A, B, r, false);    \
-    LA_BE_RD(r))                                                           \
-  M(subxcc, kSubxcc, const bool cin = st.psr.c;                            \
-    const u32 r = A - B - (cin ? 1 : 0); iu.set_icc_sub(A, B, r, cin);     \
-    LA_BE_RD(r))
+// X-macro over the inline ALU handlers, in HandlerKind order.  Each body
+// is v8::alu<> of the same-named mnemonic — the function both
+// IntegerUnit::execute() and LeonPipeline::execute() call — instantiated
+// twice: a register form (B = rs2) and an immediate form (B = simm13, or
+// sethi's predigested constant), selected by the translator via the i-bit.
+#define LA_BE_ALU_LIST(M)                                                \
+  M(kAnd) M(kAndn) M(kOr) M(kXor) M(kXnor) M(kSll) M(kSrl) M(kSra)       \
+  M(kSethi) M(kAdd) M(kAddx) M(kSub) M(kSubx) M(kAndcc) M(kOrcc)         \
+  M(kXorcc) M(kAddcc) M(kAddxcc) M(kSubcc) M(kSubxcc)
 
 #if defined(__GNUC__) || defined(__clang__)
   // Token-threaded dispatch: one indirect jump per op, no central loop.
   // Table order must match the token numbering: the HandlerKind ALU range,
   // the structural tokens, then the immediate ALU twins at kOpAluImmBase.
-#define LA_BE_LABEL_REG(name, kind, ...) &&lab_##name,
-#define LA_BE_LABEL_IMM(name, kind, ...) &&lab_##name##_i,
+#define LA_BE_LABEL_REG(kind) &&lab_##kind,
+#define LA_BE_LABEL_IMM(kind) &&lab_##kind##_i,
   static const void* const kLabels[] = {
       LA_BE_ALU_LIST(LA_BE_LABEL_REG)
       &&lab_generic, &&lab_bicc, &&lab_cti, &&lab_slot_gate, &&lab_end,
@@ -323,39 +296,32 @@ u64 BlockEngine::exec(IntegerUnit& iu, Block* blk, u64 steps_left,
     LA_BE_JUMP();    \
   } while (0)
 
-// Inline ALU handler: body mirrors the corresponding one-line case of
-// IntegerUnit::execute() verbatim (A/B are its `a`/`b` operands), then
-// retires with the straight-line next-PC form — the translator guarantees
-// npc == pc + 4 on every body op.
-#define LA_BE_RD(v) (*wp[op->d] = (v))
-
-#define LA_BE_ALU(label, BEXPR, ...)                                      \
-  label : {                                                               \
-    LA_BE_PROLOGUE();                                                     \
-    const u32 A = *rp[op->a];                                             \
-    const u32 B = (BEXPR);                                                \
-    (void)A;                                                              \
-    (void)B;                                                              \
-    __VA_ARGS__;                                                          \
-    pc = npc;                                                             \
-    npc += 4;                                                             \
-    ++n;                                                                  \
-    LA_BE_NEXT();                                                         \
+// Inline ALU handler: the shared v8::alu<> on the mapped registers, then
+// the straight-line retire — the translator guarantees npc == pc + 4 on
+// every body op.
+#define LA_BE_ALU(label, BEXPR, kind)                                    \
+  label : {                                                              \
+    LA_BE_PROLOGUE();                                                    \
+    const u32 A = *rp[op->a];                                            \
+    const u32 B = (BEXPR);                                               \
+    *wp[op->d] = v8::alu<isa::Mnemonic::kind>(st.psr, A, B, subx_quirk); \
+    pc = npc;                                                            \
+    npc += 4;                                                            \
+    ++n;                                                                 \
+    LA_BE_NEXT();                                                        \
   }
 
-#define LA_BE_ALU_REG(name, kind, ...) \
-  LA_BE_ALU(lab_##name, *rp[op->b], __VA_ARGS__)
-#define LA_BE_ALU_IMM(name, kind, ...) \
-  LA_BE_ALU(lab_##name##_i, op->bimm, __VA_ARGS__)
+#define LA_BE_ALU_REG(kind) LA_BE_ALU(lab_##kind, *rp[op->b], kind)
+#define LA_BE_ALU_IMM(kind) LA_BE_ALU(lab_##kind##_i, op->bimm, kind)
 
   LA_BE_JUMP();
 
 #if !(defined(__GNUC__) || defined(__clang__))
-#define LA_BE_CASE_REG(name, kind, ...) \
-  case static_cast<u8>(HandlerKind::kind): goto lab_##name;
-#define LA_BE_CASE_IMM(name, kind, ...)                     \
+#define LA_BE_CASE_REG(kind) \
+  case static_cast<u8>(HandlerKind::kind): goto lab_##kind;
+#define LA_BE_CASE_IMM(kind)                                \
   case kOpAluImmBase + static_cast<u8>(HandlerKind::kind):  \
-    goto lab_##name##_i;
+    goto lab_##kind##_i;
 dispatch:
   switch (op->kind) {
     LA_BE_ALU_LIST(LA_BE_CASE_REG)
@@ -407,30 +373,21 @@ lab_generic : {
 }
 
 lab_bicc : {
-  // Inline integer conditional branch: mirrors execute()'s kBicc case.
-  // Predigested: a = cond, b = annul bit, bimm = displacement << 2.
+  // Inline integer conditional branch: v8::bicc() decides, as in
+  // execute()'s kBicc case.  Predigested: a = cond, b = annul bit,
+  // bimm = displacement << 2.
   LA_BE_PROLOGUE();
-  const auto cond = static_cast<isa::Cond>(op->a);
-  const bool taken =
-      isa::eval_cond(cond, st.psr.n, st.psr.z, st.psr.v, st.psr.c);
-  Cycles bcyc = 1;
-  bool ct = false;
-  Addr tgt = 0;
-  if (cond == isa::Cond::kA) {
-    ct = true;
-    tgt = pc + op->bimm;
-    if (op->b != 0) iu.annul_next_ = true;
-    bcyc = 1 + iu.cfg_.cti_extra;
-  } else if (taken) {
-    ct = true;
-    tgt = pc + op->bimm;
-    bcyc = 1 + iu.cfg_.cti_extra;
-  } else if (op->b != 0) {
-    iu.annul_next_ = true;
-  }
+  const v8::Branch br =
+      v8::bicc(st.psr, static_cast<isa::Cond>(op->a), op->b != 0);
+  if (br.annul) iu.annul_next_ = true;
+  const Addr tgt = pc + op->bimm;
   pc = npc;
-  npc = ct ? tgt : npc + 4;
-  cyc_extra += bcyc - 1;
+  if (br.taken) {
+    npc = tgt;
+    cyc_extra += iu.cfg_.cti_extra;
+  } else {
+    npc += 4;
+  }
   ++n;
   LA_BE_NEXT();
 }
@@ -529,7 +486,6 @@ out:
 #undef LA_BE_ALU_REG
 #undef LA_BE_ALU
 #undef LA_BE_ALU_LIST
-#undef LA_BE_RD
 #undef LA_BE_NEXT
 #undef LA_BE_PROLOGUE
 #undef LA_BE_JUMP

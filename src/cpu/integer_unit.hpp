@@ -5,9 +5,12 @@
 // model (including error mode), multiply/divide with the Y register,
 // tagged arithmetic, and the atomic memory operations.
 //
-// Timing is nominal (config latencies, no memory stalls); the LeonPipeline
-// model layers real cache/bus/memory timing on an independently written
-// datapath and is property-tested against this class.
+// The instruction semantics live in cpu/sparc_semantics.hpp, shared with
+// the block engine and the LeonPipeline; this class owns the sequencing,
+// the nominal timing (config latencies, no memory stalls) and a flat
+// memory port.  The committed conformance corpus (tests/vectors/) is the
+// oracle for those semantics; the property tests compare this class with
+// the LeonPipeline's caches, bus and timing.
 #pragma once
 
 #include <memory>
@@ -15,6 +18,7 @@
 #include "common/types.hpp"
 #include "cpu/config.hpp"
 #include "cpu/memory_port.hpp"
+#include "cpu/sparc_semantics.hpp"
 #include "cpu/state.hpp"
 #include "isa/decode.hpp"
 #include "isa/decode_cache.hpp"
@@ -99,34 +103,18 @@ class IntegerUnit {
 
  private:
   friend class BlockEngine;  // drives execute()/take_trap() on our state
-  // Trap entry per V8 §7: decrement CWP (unchecked), save pc/npc into the
-  // new window's l1/l2, vector through TBR.  Trap with ET=0 => error mode.
+  // Trap entry (v8::enter_trap) plus this model's trap bookkeeping.
   void take_trap(u8 tt);
 
   // Execute the decoded instruction; returns a pending trap or kNone.
   // On success fills the next-pc pair.
   u8 execute(const isa::Instruction& ins, StepResult& res);
 
-  // Operand fetch helpers.
-  u32 op2_of(const isa::Instruction& ins) const {
-    return ins.imm ? static_cast<u32>(ins.simm13) : st_.reg(ins.rs2);
-  }
-
-  /// Valid-bit mask for WIM given the configured window count.
-  u32 window_mask() const {
-    return cfg_.nwindows == 32 ? ~0u : ((1u << cfg_.nwindows) - 1u);
-  }
-
-  void set_icc_logic(u32 res);
-  void set_icc_add(u32 a, u32 b, u32 res, bool carry_in);
-  void set_icc_sub(u32 a, u32 b, u32 res, bool carry_in);
-
   /// Deliverable external interrupt (the exact between-instructions test
   /// step_into performs; the block dispatcher re-checks it before every
   /// translated op).
   bool irq_pending() const {
-    return st_.psr.et && irq_level_ != 0 &&
-           (irq_level_ == 15 || irq_level_ > st_.psr.pil);
+    return v8::interrupt_pending(st_.psr, irq_level_);
   }
 
   CpuConfig cfg_;

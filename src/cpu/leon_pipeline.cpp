@@ -3,23 +3,20 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <limits>
 #include <vector>
 
-#include "common/bits.hpp"
+#include "cpu/sparc_semantics.hpp"
 #include "isa/decode.hpp"
-#include "isa/traps.hpp"
 
 namespace la::cpu {
 
-using isa::Cond;
 using isa::Instruction;
 using isa::Mnemonic;
 using isa::Trap;
+using v8::kNoTrap;
+using v8::tt_of;
 
 namespace {
-constexpr u8 kNoTrap = static_cast<u8>(Trap::kNone);
-constexpr u8 tt_of(Trap t) { return static_cast<u8>(t); }
 
 /// Big-endian scalar access into a cache line's byte storage.
 u64 line_read(const u8* line, u32 off, unsigned size) {
@@ -307,49 +304,19 @@ LeonPipeline::MemResult LeonPipeline::data_write(Addr addr, unsigned size,
 }
 
 // ---------------------------------------------------------------------------
-// Trap machinery (independent implementation; see integer_unit.cpp for the
-// reference model)
+// Execution
 // ---------------------------------------------------------------------------
 
 void LeonPipeline::take_trap(u8 tt) {
   ++stats_.traps;
-  if (!st_.psr.et && tt != tt_of(Trap::kReset)) {
-    st_.set_tbr_tt(tt);
-    st_.error_mode = true;
-    return;
-  }
-  st_.psr.et = false;
-  st_.psr.ps = st_.psr.s;
-  st_.psr.s = true;
-  st_.psr.cwp =
-      static_cast<u8>((st_.psr.cwp + st_.nwindows - 1) % st_.nwindows);
-  st_.set_reg(17, st_.pc);
-  st_.set_reg(18, st_.npc);
-  st_.set_tbr_tt(tt);
-  st_.pc = (st_.tbr & 0xfffff000u) + (u32{tt} << 4);
-  st_.npc = st_.pc + 4;
-  annul_next_ = false;
+  if (v8::enter_trap(st_, tt)) annul_next_ = false;
 }
 
-void LeonPipeline::icc_from(u32 res, bool v, bool c) {
-  st_.psr.n = (res >> 31) != 0;
-  st_.psr.z = res == 0;
-  st_.psr.v = v;
-  st_.psr.c = c;
-}
-
-u32 LeonPipeline::op2val(const Instruction& ins) const {
-  return ins.imm ? static_cast<u32>(ins.simm13) : st_.reg(ins.rs2);
-}
-
-bool LeonPipeline::asi_access(const Instruction& ins, StepResult& res,
-                              u8& tt) {
+bool LeonPipeline::asi_access(const Instruction& ins, Addr ea,
+                              StepResult& res) {
   // LEON ASI 2: system control registers — address 0 is the cache control
   // register.  Flush bits FI (21) and FD (22) invalidate the caches.
-  if (ins.asi != 2) return false;
-  const Addr ea = st_.reg(ins.rs1) + st_.reg(ins.rs2);
-  if (ea != 0) return false;
-  tt = kNoTrap;
+  if (ins.asi != 2 || ea != 0) return false;
   if (ins.mn == Mnemonic::kLda) {
     st_.set_reg(ins.rd, cache_control());
     res.cycles += cfg_.cpu.load_extra;
@@ -371,105 +338,125 @@ bool LeonPipeline::asi_access(const Instruction& ins, StepResult& res,
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Execution
-// ---------------------------------------------------------------------------
-
 u8 LeonPipeline::execute(const Instruction& ins, StepResult& res) {
   auto& st = st_;
-  const Addr pc = st.pc;
-  const u32 ra = st.reg(ins.rs1);
-  const u32 rb = op2val(ins);
 
-  const auto branch_target = [&] {
-    return pc + (static_cast<u32>(ins.disp) << 2);
+  const u32 ra = st.reg(ins.rs1);
+  const u32 rb = v8::op2(st, ins);
+  const Addr ea = ra + rb;  // memory address; jmpl/rett/flush target
+  const bool subx_quirk = cfg_.cpu.quirk_subx_no_carry;
+
+  // Memory operations: the shared legality checks, the ASI 2 cache
+  // control, then the timed access.  `done` is set when no access is due.
+  const auto mem_trap = [&](unsigned size, bool& done) {
+    const bool alt = isa::is_alternate_space(ins.mn);
+    const u8 tt = v8::mem_trap(st.psr, alt, size, ins.rd, ea);
+    done = tt != kNoTrap || (alt && asi_access(ins, ea, res));
+    return tt;
+  };
+  const auto accessed = [&](unsigned size, bool write, Cycles extra) -> u8 {
+    res.cycles = 1 + extra;
+    res.mem_access = true;
+    res.mem_write = write;
+    res.mem_addr = ea;
+    res.mem_size = static_cast<u8>(size);
+    return kNoTrap;
+  };
+  // always_inline: an outlined load path costs the per-step execute() (the
+  // path step_into_hot and the reference loop call) about a sixth of its
+  // throughput on sim_mips' leon_pipeline row.
+  const auto do_load = [&](unsigned size,
+                           bool sign) __attribute__((always_inline)) -> u8 {
+    bool done = false;
+    if (const u8 tt = mem_trap(size, done); done) return tt;
+    const MemResult rr = data_read(ea, size);
+    if (!rr.ok) return tt_of(Trap::kDataAccess);
+    v8::load_result(st, ins.rd, size, sign, rr.value);
+    ++stats_.loads;
+    const CpuConfig& c = cfg_.cpu;
+    return accessed(size, false,
+                    (size == 8 ? c.load_double_extra : c.load_extra) +
+                        rr.cycles);
+  };
+  const auto do_store = [&](unsigned size) -> u8 {
+    bool done = false;
+    if (const u8 tt = mem_trap(size, done); done) return tt;
+    const MemResult wr =
+        data_write(ea, size, v8::store_value(st, ins.rd, size));
+    if (!wr.ok) return tt_of(Trap::kDataAccess);
+    ++stats_.stores;
+    const CpuConfig& c = cfg_.cpu;
+    return accessed(size, true,
+                    (size == 8 ? c.store_double_extra : c.store_extra) +
+                        wr.cycles);
+  };
+  const auto do_atomic = [&](unsigned size) -> u8 {
+    bool done = false;
+    if (const u8 tt = mem_trap(size, done); done) return tt;
+    const MemResult rr = data_read(ea, size);
+    if (!rr.ok) return tt_of(Trap::kDataAccess);
+    const MemResult wr =
+        data_write(ea, size, v8::atomic_value(st, ins.rd, size));
+    if (!wr.ok) return tt_of(Trap::kDataAccess);
+    st.set_reg(ins.rd, static_cast<u32>(rr.value));
+    ++stats_.loads;  // atomics count as both (isa::is_load / is_store)
+    ++stats_.stores;
+    return accessed(size, true,
+                    cfg_.cpu.load_extra + cfg_.cpu.store_extra + rr.cycles +
+                        wr.cycles);
   };
 
+  // Instruction-mix accounting happens inline on the no-trap paths: the
+  // retired-only counts, with the hot path dispatching once.
   switch (ins.mn) {
     case Mnemonic::kInvalid:
     case Mnemonic::kUnimp:
       return tt_of(Trap::kIllegalInstruction);
 
     case Mnemonic::kCall:
-      st.set_reg(15, pc);
       cti_taken_ = true;
-      cti_target_ = branch_target();
+      cti_target_ = v8::call(st, ins.disp);
       res.cycles += cfg_.cpu.cti_extra;
       ++stats_.calls;
       return kNoTrap;
 
     case Mnemonic::kBicc: {
-      // Instruction-mix accounting happens inline on the no-trap paths
-      // (here and in every case below): it is exactly the retired-only
-      // bookkeeping step_impl used to do in a second mnemonic switch,
-      // folded in so the hot path dispatches once.
       ++stats_.branches;
-      const bool taken =
-          isa::eval_cond(ins.cond, st.psr.n, st.psr.z, st.psr.v, st.psr.c);
-      if (ins.cond == Cond::kA) {
+      const v8::Branch br = v8::bicc(st.psr, ins.cond, ins.annul);
+      annul_next_ = br.annul;
+      if (br.taken) {
         cti_taken_ = true;
-        cti_target_ = branch_target();
-        annul_next_ = ins.annul;
+        cti_target_ = v8::branch_target(st.pc, ins.disp);
         res.cycles += cfg_.cpu.cti_extra;
         ++stats_.taken_branches;
-      } else if (taken) {
-        cti_taken_ = true;
-        cti_target_ = branch_target();
-        res.cycles += cfg_.cpu.cti_extra;
-        ++stats_.taken_branches;
-      } else if (ins.annul) {
-        annul_next_ = true;
       }
       return kNoTrap;
     }
 
-    case Mnemonic::kFbfcc:
-      return tt_of(Trap::kFpDisabled);
-    case Mnemonic::kCbccc:
-      return tt_of(Trap::kCpDisabled);
-
     case Mnemonic::kJmpl: {
-      const Addr target = ra + rb;
-      if ((target & 3u) != 0) return tt_of(Trap::kMemAddressNotAligned);
-      st.set_reg(ins.rd, pc);
+      if (const u8 tt = v8::jmpl(st, ins.rd, ea); tt != kNoTrap) return tt;
       cti_taken_ = true;
-      cti_target_ = target;
+      cti_target_ = ea;
       res.cycles += cfg_.cpu.cti_extra;
       ++stats_.calls;
       return kNoTrap;
     }
 
     case Mnemonic::kRett: {
-      if (st.psr.et) {
-        return st.psr.s ? tt_of(Trap::kIllegalInstruction)
-                        : tt_of(Trap::kPrivilegedInstruction);
-      }
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      const unsigned ncwp = (st.psr.cwp + 1) % st.nwindows;
-      if ((st.wim >> ncwp) & 1u) return tt_of(Trap::kWindowUnderflow);
-      const Addr target = ra + rb;
-      if ((target & 3u) != 0) return tt_of(Trap::kMemAddressNotAligned);
-      st.psr.cwp = static_cast<u8>(ncwp);
-      st.psr.s = st.psr.ps;
-      st.psr.et = true;
+      if (const u8 tt = v8::rett(st, ea); tt != kNoTrap) return tt;
       cti_taken_ = true;
-      cti_target_ = target;
+      cti_target_ = ea;
       res.cycles += cfg_.cpu.cti_extra;
       return kNoTrap;
     }
 
-    case Mnemonic::kTicc: {
-      if (!isa::eval_cond(ins.cond, st.psr.n, st.psr.z, st.psr.v, st.psr.c)) {
-        return kNoTrap;
-      }
-      return static_cast<u8>(0x80u + ((ra + rb) & 0x7fu));
-    }
+    case Mnemonic::kTicc:
+      return v8::ticc(st.psr, ins.cond, ra, rb);
 
     case Mnemonic::kFlush: {
       // LEON flush: invalidate the I- and D-cache lines holding the
       // effective address (this is what makes the boot ROM's mailbox poll
       // see writes performed behind the processor's back, Fig 5).
-      const Addr ea = ra + rb;
       icache_.invalidate_line(ea);
       cache::DirtyLine d;
       if (dcache_.invalidate_line(ea, &d) && !d.data.empty()) {
@@ -478,337 +465,94 @@ u8 LeonPipeline::execute(const Instruction& ins, StepResult& res) {
       return kNoTrap;
     }
 
+    // ALU -------------------------------------------------------------------
     case Mnemonic::kSethi:
-      st.set_reg(ins.rd, ins.imm22 << 10);
+      st.set_reg(ins.rd, v8::sethi(ins.imm22));
       return kNoTrap;
 
-    // Logical ---------------------------------------------------------------
-    case Mnemonic::kAnd: st.set_reg(ins.rd, ra & rb); return kNoTrap;
-    case Mnemonic::kOr: st.set_reg(ins.rd, ra | rb); return kNoTrap;
-    case Mnemonic::kXor: st.set_reg(ins.rd, ra ^ rb); return kNoTrap;
-    case Mnemonic::kAndn: st.set_reg(ins.rd, ra & ~rb); return kNoTrap;
-    case Mnemonic::kOrn: st.set_reg(ins.rd, ra | ~rb); return kNoTrap;
-    case Mnemonic::kXnor: st.set_reg(ins.rd, ~(ra ^ rb)); return kNoTrap;
-    case Mnemonic::kAndcc: case Mnemonic::kOrcc: case Mnemonic::kXorcc:
-    case Mnemonic::kAndncc: case Mnemonic::kOrncc: case Mnemonic::kXnorcc: {
-      u32 v = 0;
-      switch (ins.mn) {
-        case Mnemonic::kAndcc: v = ra & rb; break;
-        case Mnemonic::kOrcc: v = ra | rb; break;
-        case Mnemonic::kXorcc: v = ra ^ rb; break;
-        case Mnemonic::kAndncc: v = ra & ~rb; break;
-        case Mnemonic::kOrncc: v = ra | ~rb; break;
-        default: v = ~(ra ^ rb); break;
-      }
-      icc_from(v, false, false);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
+#define LA_PIPE_ALU(m)                                                    \
+  case Mnemonic::m:                                                       \
+    st.set_reg(ins.rd, v8::alu<Mnemonic::m>(st.psr, ra, rb, subx_quirk)); \
+    return kNoTrap;
+      LA_V8_ALU_OPS(LA_PIPE_ALU)
+#undef LA_PIPE_ALU
 
-    // Shifts ------------------------------------------------------------------
-    case Mnemonic::kSll: st.set_reg(ins.rd, ra << (rb & 31u)); return kNoTrap;
-    case Mnemonic::kSrl: st.set_reg(ins.rd, ra >> (rb & 31u)); return kNoTrap;
-    case Mnemonic::kSra:
-      st.set_reg(ins.rd, static_cast<u32>(static_cast<i32>(ra) >> (rb & 31u)));
-      return kNoTrap;
-
-    // Add / subtract ------------------------------------------------------------
-    case Mnemonic::kAdd: st.set_reg(ins.rd, ra + rb); return kNoTrap;
-    case Mnemonic::kSub: st.set_reg(ins.rd, ra - rb); return kNoTrap;
-    case Mnemonic::kAddx:
-      st.set_reg(ins.rd, ra + rb + (st.psr.c ? 1u : 0u));
-      return kNoTrap;
-    case Mnemonic::kSubx:
-      st.set_reg(ins.rd,
-                 ra - rb -
-                     (!cfg_.cpu.quirk_subx_no_carry && st.psr.c ? 1u : 0u));
-      return kNoTrap;
-    case Mnemonic::kAddcc:
-    case Mnemonic::kAddxcc: {
-      const u32 cin =
-          (ins.mn == Mnemonic::kAddxcc && st.psr.c) ? 1u : 0u;
-      const u64 wide = u64{ra} + rb + cin;
-      const u32 v = static_cast<u32>(wide);
-      const bool ovf = ((~(ra ^ rb) & (ra ^ v)) >> 31) != 0;
-      icc_from(v, ovf, (wide >> 32) != 0);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-    case Mnemonic::kSubcc:
-    case Mnemonic::kSubxcc: {
-      const u32 cin =
-          (ins.mn == Mnemonic::kSubxcc && st.psr.c) ? 1u : 0u;
-      const u32 v = ra - rb - cin;
-      const bool ovf = (((ra ^ rb) & (ra ^ v)) >> 31) != 0;
-      const bool borrow = u64{ra} < u64{rb} + cin;
-      icc_from(v, ovf, borrow);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-
-    // Tagged ---------------------------------------------------------------------
     case Mnemonic::kTaddcc:
-    case Mnemonic::kTaddcctv: {
-      const u64 wide = u64{ra} + rb;
-      const u32 v = static_cast<u32>(wide);
-      const bool ovf = ((~(ra ^ rb) & (ra ^ v)) >> 31) != 0 ||
-                       ((ra | rb) & 3u) != 0;
-      if (ovf && ins.mn == Mnemonic::kTaddcctv) {
-        return tt_of(Trap::kTagOverflow);
-      }
-      icc_from(v, ovf, (wide >> 32) != 0);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
+    case Mnemonic::kTaddcctv:
     case Mnemonic::kTsubcc:
-    case Mnemonic::kTsubcctv: {
-      const u32 v = ra - rb;
-      const bool ovf = (((ra ^ rb) & (ra ^ v)) >> 31) != 0 ||
-                       ((ra | rb) & 3u) != 0;
-      if (ovf && ins.mn == Mnemonic::kTsubcctv) {
-        return tt_of(Trap::kTagOverflow);
-      }
-      icc_from(v, ovf, u64{ra} < u64{rb});
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
+    case Mnemonic::kTsubcctv:
+      return v8::tagged(st, ins.mn, ins.rd, ra, rb);
 
-    // Multiply / divide -------------------------------------------------------------
-    case Mnemonic::kMulscc: {
-      const u32 v1 = ((st.psr.n != st.psr.v) ? 0x80000000u : 0u) | (ra >> 1);
-      const u32 v2 = (st.y & 1u) ? rb : 0u;
-      const u64 wide = u64{v1} + v2;
-      const u32 v = static_cast<u32>(wide);
-      const bool ovf = ((~(v1 ^ v2) & (v1 ^ v)) >> 31) != 0;
-      icc_from(v, ovf, (wide >> 32) != 0);
-      st.y = (st.y >> 1) | ((ra & 1u) << 31);
-      st.set_reg(ins.rd, v);
+    // Multiply / divide -------------------------------------------------------
+    case Mnemonic::kMulscc:
+      v8::mulscc(st, ins.rd, ra, rb);
       return kNoTrap;
-    }
     case Mnemonic::kUmul:
     case Mnemonic::kUmulcc:
     case Mnemonic::kSmul:
     case Mnemonic::kSmulcc: {
-      if (!cfg_.cpu.has_mul) return tt_of(Trap::kIllegalInstruction);
-      const bool sign =
-          ins.mn == Mnemonic::kSmul || ins.mn == Mnemonic::kSmulcc;
-      const u64 p = sign ? static_cast<u64>(i64{static_cast<i32>(ra)} *
-                                            i64{static_cast<i32>(rb)})
-                         : u64{ra} * u64{rb};
-      st.y = static_cast<u32>(p >> 32);
-      const u32 v = static_cast<u32>(p);
-      if (ins.mn == Mnemonic::kUmulcc || ins.mn == Mnemonic::kSmulcc) {
-        icc_from(v, false, false);
-      }
-      st.set_reg(ins.rd, v);
+      const u8 tt = v8::multiply(st, ins.mn, ins.rd, ra, rb, cfg_.cpu.has_mul);
+      if (tt != kNoTrap) return tt;
       res.cycles = cfg_.cpu.mul_latency;
       ++stats_.muldiv;
       return kNoTrap;
     }
     case Mnemonic::kUdiv:
-    case Mnemonic::kUdivcc: {
-      if (!cfg_.cpu.has_div) return tt_of(Trap::kIllegalInstruction);
-      if (rb == 0) return tt_of(Trap::kDivisionByZero);
-      const u64 dividend = (u64{st.y} << 32) | ra;
-      u64 q = dividend / rb;
-      const bool ovf = q > 0xffffffffull;
-      if (ovf) q = 0xffffffffull;
-      const u32 v = static_cast<u32>(q);
-      if (ins.mn == Mnemonic::kUdivcc) icc_from(v, ovf, false);
-      st.set_reg(ins.rd, v);
-      res.cycles = cfg_.cpu.div_latency;
-      ++stats_.muldiv;
-      return kNoTrap;
-    }
+    case Mnemonic::kUdivcc:
     case Mnemonic::kSdiv:
     case Mnemonic::kSdivcc: {
-      if (!cfg_.cpu.has_div) return tt_of(Trap::kIllegalInstruction);
-      if (rb == 0) return tt_of(Trap::kDivisionByZero);
-      const i64 dividend = static_cast<i64>((u64{st.y} << 32) | ra);
-      const i64 divisor = static_cast<i32>(rb);
-      // INT64_MIN / -1 overflows the host idiv (SIGFPE); the architectural
-      // quotient 2^63 overflows the 32-bit result anyway.
-      i64 q = (dividend == std::numeric_limits<i64>::min() && divisor == -1)
-                  ? std::numeric_limits<i64>::max()
-                  : dividend / divisor;
-      bool ovf = false;
-      if (q > 0x7fffffffll) { q = 0x7fffffffll; ovf = true; }
-      if (q < -0x80000000ll) { q = -0x80000000ll; ovf = true; }
-      const u32 v = static_cast<u32>(static_cast<u64>(q));
-      if (ins.mn == Mnemonic::kSdivcc) icc_from(v, ovf, false);
-      st.set_reg(ins.rd, v);
+      const u8 tt = v8::divide(st, ins.mn, ins.rd, ra, rb, cfg_.cpu.has_div);
+      if (tt != kNoTrap) return tt;
       res.cycles = cfg_.cpu.div_latency;
       ++stats_.muldiv;
       return kNoTrap;
     }
 
-    // State registers ------------------------------------------------------------------
-    case Mnemonic::kRdy: st.set_reg(ins.rd, st.y); return kNoTrap;
-    case Mnemonic::kRdasr:
-      st.set_reg(ins.rd, st.asr[ins.rs1]);
-      return kNoTrap;
-    case Mnemonic::kRdpsr:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.set_reg(ins.rd, st.psr.pack());
-      return kNoTrap;
-    case Mnemonic::kRdwim:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.set_reg(ins.rd, st.wim & window_mask());
-      return kNoTrap;
-    case Mnemonic::kRdtbr:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.set_reg(ins.rd, st.tbr);
-      return kNoTrap;
-    case Mnemonic::kWry: st.y = ra ^ rb; return kNoTrap;
-    case Mnemonic::kWrasr: st.asr[ins.rd] = ra ^ rb; return kNoTrap;
-    case Mnemonic::kWrpsr: {
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      const u32 v = ra ^ rb;
-      if ((v & 0x1fu) >= st.nwindows) return tt_of(Trap::kIllegalInstruction);
-      st.psr.unpack(v);
-      return kNoTrap;
-    }
-    case Mnemonic::kWrwim:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.wim = (ra ^ rb) & window_mask();
-      return kNoTrap;
-    case Mnemonic::kWrtbr:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.tbr = (st.tbr & 0x00000ff0u) | ((ra ^ rb) & 0xfffff000u);
-      return kNoTrap;
+    // State registers ---------------------------------------------------------
+    case Mnemonic::kRdy: return v8::rdy(st, ins.rd);
+    case Mnemonic::kRdasr: return v8::rdasr(st, ins.rd, ins.rs1);
+    case Mnemonic::kRdpsr: return v8::rdpsr(st, ins.rd);
+    case Mnemonic::kRdwim: return v8::rdwim(st, ins.rd);
+    case Mnemonic::kRdtbr: return v8::rdtbr(st, ins.rd);
+    case Mnemonic::kWry: return v8::wry(st, ra ^ rb);
+    case Mnemonic::kWrasr: return v8::wrasr(st, ins.rd, ra ^ rb);
+    case Mnemonic::kWrpsr: return v8::wrpsr(st, ra ^ rb);
+    case Mnemonic::kWrwim: return v8::wrwim(st, ra ^ rb);
+    case Mnemonic::kWrtbr: return v8::wrtbr(st, ra ^ rb);
 
-    // Windows ----------------------------------------------------------------------------
-    case Mnemonic::kSave:
-    case Mnemonic::kRestore: {
-      const unsigned ncwp =
-          ins.mn == Mnemonic::kSave
-              ? (st.psr.cwp + st.nwindows - 1) % st.nwindows
-              : (st.psr.cwp + 1) % st.nwindows;
-      if ((st.wim >> ncwp) & 1u) {
-        return ins.mn == Mnemonic::kSave ? tt_of(Trap::kWindowOverflow)
-                                         : tt_of(Trap::kWindowUnderflow);
-      }
-      const u32 v = ra + rb;
-      st.psr.cwp = static_cast<u8>(ncwp);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
+    // Windows -----------------------------------------------------------------
+    case Mnemonic::kSave: return v8::save(st, ins.rd, ra, rb);
+    case Mnemonic::kRestore: return v8::restore(st, ins.rd, ra, rb);
 
-    case Mnemonic::kFpop1: case Mnemonic::kFpop2:
-      return tt_of(Trap::kFpDisabled);
-    case Mnemonic::kCpop1: case Mnemonic::kCpop2:
-      return tt_of(Trap::kCpDisabled);
+    // Memory ------------------------------------------------------------------
+    case Mnemonic::kLd: case Mnemonic::kLda: return do_load(4, false);
+    case Mnemonic::kLdub: case Mnemonic::kLduba: return do_load(1, false);
+    case Mnemonic::kLduh: case Mnemonic::kLduha: return do_load(2, false);
+    case Mnemonic::kLdsb: case Mnemonic::kLdsba: return do_load(1, true);
+    case Mnemonic::kLdsh: case Mnemonic::kLdsha: return do_load(2, true);
+    case Mnemonic::kLdd: case Mnemonic::kLdda: return do_load(8, false);
+    case Mnemonic::kSt: case Mnemonic::kSta: return do_store(4);
+    case Mnemonic::kStb: case Mnemonic::kStba: return do_store(1);
+    case Mnemonic::kSth: case Mnemonic::kStha: return do_store(2);
+    case Mnemonic::kStd: case Mnemonic::kStda: return do_store(8);
+    case Mnemonic::kLdstub: case Mnemonic::kLdstuba: return do_atomic(1);
+    case Mnemonic::kSwap: case Mnemonic::kSwapa: return do_atomic(4);
 
-    // Memory -----------------------------------------------------------------------------
-    default:
-      break;
-  }
-
-  // Loads, stores, atomics.
-  const bool alt = isa::is_alternate_space(ins.mn);
-  if (alt && !st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-
-  if (alt) {
-    u8 tt = kNoTrap;
-    if (asi_access(ins, res, tt)) return tt;
-  }
-
-  // FP/CP memory ops trap *-disabled before any address or rd legality
-  // check (SPARC V8 trap priority: fp/cp_disabled outranks
-  // mem_address_not_aligned), matching the IntegerUnit reference.
-  switch (ins.mn) {
+    // -- FP / coprocessor: neither unit is configured (see v8::mem_trap) ---
+    case Mnemonic::kFbfcc: case Mnemonic::kFpop1: case Mnemonic::kFpop2:
     case Mnemonic::kLdf: case Mnemonic::kLdfsr: case Mnemonic::kLddf:
     case Mnemonic::kStf: case Mnemonic::kStfsr: case Mnemonic::kStdfq:
     case Mnemonic::kStdf:
       return tt_of(Trap::kFpDisabled);
+    case Mnemonic::kCbccc: case Mnemonic::kCpop1: case Mnemonic::kCpop2:
     case Mnemonic::kLdc: case Mnemonic::kLdcsr: case Mnemonic::kLddc:
     case Mnemonic::kStc: case Mnemonic::kStcsr: case Mnemonic::kStdcq:
     case Mnemonic::kStdc:
       return tt_of(Trap::kCpDisabled);
-    default: break;
+
+    case Mnemonic::kCount:
+      break;
   }
-
-  const bool ld = isa::is_load(ins.mn);
-  const bool stq = isa::is_store(ins.mn);
-  const unsigned size = isa::access_size(ins.mn);
-  const bool dbl = size == 8;
-  const Addr ea = ra + (ins.imm ? static_cast<u32>(ins.simm13)
-                                : st.reg(ins.rs2));
-
-  if (dbl && (ins.rd & 1u)) return tt_of(Trap::kIllegalInstruction);
-  const unsigned align = size;
-  if ((ea & (align - 1)) != 0 && size > 1) {
-    return tt_of(Trap::kMemAddressNotAligned);
-  }
-
-  if (ld && stq) {
-    // Atomics: ldstub / swap.
-    const unsigned asz = (ins.mn == Mnemonic::kLdstub ||
-                          ins.mn == Mnemonic::kLdstuba)
-                             ? 1
-                             : 4;
-    MemResult rr = data_read(ea, asz);
-    if (!rr.ok) return tt_of(Trap::kDataAccess);
-    const u64 newv =
-        (asz == 1) ? 0xffull : u64{st.reg(ins.rd)};
-    MemResult wr = data_write(ea, asz, newv);
-    if (!wr.ok) return tt_of(Trap::kDataAccess);
-    st.set_reg(ins.rd, static_cast<u32>(rr.value));
-    res.cycles =
-        1 + cfg_.cpu.load_extra + cfg_.cpu.store_extra + rr.cycles + wr.cycles;
-    res.mem_access = true;
-    res.mem_write = true;
-    res.mem_addr = ea;
-    res.mem_size = static_cast<u8>(asz);
-    ++stats_.loads;  // atomics count as both (isa::is_load / is_store)
-    ++stats_.stores;
-    return kNoTrap;
-  }
-
-  if (ld) {
-    MemResult rr = data_read(ea, size);
-    if (!rr.ok) return tt_of(Trap::kDataAccess);
-    if (dbl) {
-      st.set_reg(ins.rd, static_cast<u32>(rr.value >> 32));
-      st.set_reg(static_cast<u8>(ins.rd | 1u), static_cast<u32>(rr.value));
-      res.cycles = 1 + cfg_.cpu.load_double_extra + rr.cycles;
-    } else {
-      u32 v = static_cast<u32>(rr.value);
-      const bool sign = ins.mn == Mnemonic::kLdsb ||
-                        ins.mn == Mnemonic::kLdsh ||
-                        ins.mn == Mnemonic::kLdsba ||
-                        ins.mn == Mnemonic::kLdsha;
-      if (sign && size < 4) v = static_cast<u32>(sign_extend(v, size * 8));
-      st.set_reg(ins.rd, v);
-      res.cycles = 1 + cfg_.cpu.load_extra + rr.cycles;
-    }
-    res.mem_access = true;
-    res.mem_addr = ea;
-    res.mem_size = static_cast<u8>(size);
-    ++stats_.loads;
-    return kNoTrap;
-  }
-
-  if (stq) {
-    u64 v;
-    if (dbl) {
-      v = (u64{st.reg(ins.rd)} << 32) | st.reg(static_cast<u8>(ins.rd | 1u));
-    } else {
-      v = st.reg(ins.rd);
-    }
-    MemResult wr = data_write(ea, size, v);
-    if (!wr.ok) return tt_of(Trap::kDataAccess);
-    res.cycles = 1 +
-                 (dbl ? cfg_.cpu.store_double_extra : cfg_.cpu.store_extra) +
-                 wr.cycles;
-    res.mem_access = true;
-    res.mem_write = true;
-    res.mem_addr = ea;
-    res.mem_size = static_cast<u8>(size);
-    ++stats_.stores;
-    return kNoTrap;
-  }
-
   return tt_of(Trap::kIllegalInstruction);
 }
 
@@ -861,9 +605,8 @@ void LeonPipeline::step_impl(StepResult& res) {
     return;
   }
 
-  if (st_.psr.et && irq_level_ != 0 &&
-      (irq_level_ == 15 || irq_level_ > st_.psr.pil)) {
-    const u8 tt = static_cast<u8>(0x10 + (irq_level_ & 0xf));
+  if (v8::interrupt_pending(st_.psr, irq_level_)) {
+    const u8 tt = v8::interrupt_tt(irq_level_);
     take_trap(tt);
     res.trapped = true;
     res.tt = tt;

@@ -7,9 +7,11 @@
 // behaviour, and peripheral access costs all land in the cycle count the
 // paper's hardware counter measures).
 //
-// The architectural semantics here are implemented independently of
-// cpu::IntegerUnit; tests/property/cpu_equivalence_test.cpp runs random
-// programs through both and requires identical architectural state.
+// The instruction semantics are cpu/sparc_semantics.hpp, shared with
+// cpu::IntegerUnit; this model owns the timing, caches, bus traffic and
+// statistics.  tests/property/cpu_equivalence_test.cpp runs random
+// programs through both and requires identical architectural state, which
+// checks sequencing, windows, traps and memory across the two.
 #pragma once
 
 #include <vector>
@@ -195,14 +197,10 @@ class LeonPipeline {
   void step_impl(StepResult& res);
   u8 execute(const isa::Instruction& ins, StepResult& res);
   void take_trap(u8 tt);
-  u32 op2val(const isa::Instruction& ins) const;
-  u32 window_mask() const {
-    return cfg_.cpu.nwindows == 32 ? ~0u : ((1u << cfg_.cpu.nwindows) - 1u);
-  }
-  void icc_from(u32 res, bool v, bool c);
 
-  // ASI-mediated cache control (lda/sta with asi 2).
-  bool asi_access(const isa::Instruction& ins, StepResult& res, u8& tt);
+  // ASI-mediated cache control (lda/sta with asi 2 at address `ea`);
+  // true when it handled the access.
+  bool asi_access(const isa::Instruction& ins, Addr ea, StepResult& res);
 
   PipelineConfig cfg_;
   bus::AhbBus& bus_;

@@ -26,7 +26,7 @@ struct Psr {
   static constexpr u32 kImpl = 0xf;  // impl/ver fields read as constants
   static constexpr u32 kVer = 0x3;
 
-  u32 pack() const {
+  constexpr u32 pack() const {
     return (kImpl << 28) | (kVer << 24) | (u32{n} << 23) | (u32{z} << 22) |
            (u32{v} << 21) | (u32{c} << 20) | (u32{ec} << 13) |
            (u32{ef} << 12) | ((u32{pil} & 0xfu) << 8) | (u32{s} << 7) |
@@ -34,7 +34,7 @@ struct Psr {
   }
 
   /// Unpack a WRPSR value (impl/ver are read-only and ignored).
-  void unpack(u32 w) {
+  constexpr void unpack(u32 w) {
     n = bit(w, 23);
     z = bit(w, 22);
     v = bit(w, 21);
@@ -56,19 +56,19 @@ struct Psr {
 /// (w + 1) mod NWINDOWS.
 class RegisterFile {
  public:
-  explicit RegisterFile(unsigned nwindows = 8)
+  constexpr explicit RegisterFile(unsigned nwindows = 8)
       : nwin_(nwindows), store_(8 + 16 * nwindows, 0) {
     assert(nwindows >= 2 && nwindows <= 32);
   }
 
-  unsigned nwindows() const { return nwin_; }
+  constexpr unsigned nwindows() const { return nwin_; }
 
-  u32 get(unsigned cwp, u8 r) const {
+  constexpr u32 get(unsigned cwp, u8 r) const {
     if (r == 0) return 0;
     return store_[index(cwp, r)];
   }
 
-  void set(unsigned cwp, u8 r, u32 v) {
+  constexpr void set(unsigned cwp, u8 r, u32 v) {
     if (r == 0) return;  // %g0 is hardwired to zero
     store_[index(cwp, r)] = v;
   }
@@ -87,7 +87,7 @@ class RegisterFile {
   }
 
  private:
-  std::size_t index(unsigned cwp, u8 r) const {
+  constexpr std::size_t index(unsigned cwp, u8 r) const {
     assert(r < 32 && cwp < nwin_);
     if (r < 8) return r;  // globals
     const unsigned wslot = [&] {
@@ -105,10 +105,11 @@ class RegisterFile {
   std::vector<u32> store_;
 };
 
-/// Full architectural state.  Both CPU models operate on this struct so the
-/// property tests can compare them field-for-field.
+/// Full architectural state.  Every CPU model operates on this struct (and
+/// cpu/sparc_semantics.hpp defines the instruction semantics over it), so
+/// the property tests can compare the models field-for-field.
 struct CpuState {
-  explicit CpuState(const CpuConfig& cfg = {})
+  constexpr explicit CpuState(const CpuConfig& cfg = {})
       : regs(cfg.nwindows), nwindows(cfg.nwindows) {}
 
   RegisterFile regs;
@@ -127,12 +128,12 @@ struct CpuState {
   /// it — we latch the flag and stop executing.
   bool error_mode = false;
 
-  u32 reg(u8 r) const { return regs.get(psr.cwp, r); }
-  void set_reg(u8 r, u32 v) { regs.set(psr.cwp, r, v); }
+  constexpr u32 reg(u8 r) const { return regs.get(psr.cwp, r); }
+  constexpr void set_reg(u8 r, u32 v) { regs.set(psr.cwp, r, v); }
 
   /// tt field of TBR.
-  u8 tbr_tt() const { return static_cast<u8>(bits(tbr, 11, 4)); }
-  void set_tbr_tt(u8 tt) {
+  constexpr u8 tbr_tt() const { return static_cast<u8>(bits(tbr, 11, 4)); }
+  constexpr void set_tbr_tt(u8 tt) {
     tbr = (tbr & 0xfffff00fu) | (u32{tt} << 4);
   }
 };

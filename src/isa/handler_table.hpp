@@ -7,8 +7,8 @@
 // code: which operations get a dedicated inline handler in the dispatcher
 // (the hot ALU core of every workload), which terminate a basic block
 // (delayed control transfers), and which fall back to the interpreter's
-// flat switch — the single source of semantic truth for everything that
-// touches memory, traps, windows, or state registers.
+// flat switch for everything that touches memory, traps, windows, or
+// state registers.
 #pragma once
 
 #include "isa/isa.hpp"
@@ -19,8 +19,8 @@ namespace la::isa {
 /// mnemonic not named here executes through IntegerUnit::execute()
 /// (kGeneric), so the block engine never re-implements trap-raising or
 /// memory semantics; the inline classes are the pure register-to-register
-/// operations whose one-line bodies the conformance corpus and the
-/// three-way equivalence grid pin against the interpreter.
+/// operations, whose handlers call the same v8::alu<> as the interpreter
+/// (cpu/sparc_semantics.hpp).
 enum class HandlerKind : u8 {
   kAnd, kAndn, kOr, kXor, kXnor,
   kSll, kSrl, kSra,

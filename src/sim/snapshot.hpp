@@ -32,6 +32,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "common/snapio.hpp"
@@ -64,8 +65,11 @@ struct SystemSnapshot {
 
 /// Shared warm-start pool: snapshot per key ("boot|<arch>" for post-boot
 /// images, "prog|<arch>|<digest>" for post-load images), first writer wins.
-/// Holds at most kCapacity entries (~6 MB each) and evicts the least
-/// recently used one to make room; a get() hit counts as a use.
+/// Holds at most kCapacity entries (~6 MB each).  To make room it evicts
+/// the least recently used entry that is not a post-boot image, and a
+/// "boot|" entry only when nothing else is left: one boot image serves
+/// every program of its architecture, so a stream of one-off programs must
+/// not push it out.  A get() hit counts as a use.
 /// Thread-safe; snapshots are immutable once published, so readers share
 /// them by shared_ptr without copying the (multi-MB) blob.
 class SnapshotPool {
@@ -99,11 +103,15 @@ class SnapshotPool {
     std::lock_guard lk(mu_);
     if (pool_.count(key) != 0) return;
     if (pool_.size() >= kCapacity) {
-      const auto lru = std::min_element(
-          pool_.begin(), pool_.end(), [](const auto& a, const auto& b) {
-            return a.second.last_use < b.second.last_use;
-          });
-      pool_.erase(lru);
+      // Order by (is a boot image, last use): the minimum is the LRU
+      // non-boot entry while one exists.
+      const auto rank = [](const auto& e) {
+        return std::pair(e.first.starts_with("boot|"), e.second.last_use);
+      };
+      const auto victim = std::min_element(
+          pool_.begin(), pool_.end(),
+          [&](const auto& a, const auto& b) { return rank(a) < rank(b); });
+      pool_.erase(victim);
       ++stats_.evictions;
     }
     pool_.emplace(key, Entry{std::move(sp), ++clock_});

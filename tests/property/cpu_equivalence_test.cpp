@@ -1,7 +1,11 @@
-// The central property test: the functional IntegerUnit and the timed
-// LeonPipeline are two independently written implementations of SPARC V8;
-// random programs must leave both in identical architectural state (and
-// identical memory), across pipeline configurations.
+// The central property test: random programs must leave the functional
+// IntegerUnit and the timed LeonPipeline in identical architectural state
+// (and identical memory), across pipeline configurations.  Both models take
+// their instruction semantics from cpu/sparc_semantics.hpp (the committed
+// conformance corpus is the oracle for those), so what this compares is
+// what each model does on its own: sequencing and delay slots, window
+// rotation, trap entry, and memory through flat storage versus caches and
+// the bus.
 //
 // Programs come from the shared src/fuzz generator (the same one lfuzz
 // drives), and the comparison is the shared differential runner — this

@@ -6,7 +6,7 @@
 // fast step() (decode cache) and fast run() (block engine).
 //
 // This is the direct fast-vs-slow sibling of cpu_equivalence_test (which
-// checks the pipeline against the independent functional model); programs
+// checks the pipeline against the functional model); programs
 // come from the same shared generator, seed count from LA_PROPERTY_SEEDS.
 #include <gtest/gtest.h>
 

@@ -251,5 +251,31 @@ TEST(SnapshotPool, AHitRefreshesItsEntry) {
   EXPECT_EQ(pool.stats().evictions, 1u);
 }
 
+TEST(SnapshotPool, OneOffProgramsDoNotEvictABootImage) {
+  sim::SnapshotPool pool;
+  pool.put("boot|arch", blob(1));
+  // 40 one-off post-load images: more than kCapacity, none used again.
+  for (int i = 0; i < 40; ++i) {
+    pool.put("prog|arch|" + std::to_string(i), blob(static_cast<u8>(i)));
+  }
+  EXPECT_TRUE(pool.contains("boot|arch"));
+  EXPECT_EQ(pool.size(), sim::SnapshotPool::kCapacity);
+  EXPECT_FALSE(pool.contains("prog|arch|0"));
+  EXPECT_TRUE(pool.contains("prog|arch|39"));
+  EXPECT_EQ(pool.stats().evictions, 41u - sim::SnapshotPool::kCapacity);
+}
+
+TEST(SnapshotPool, ABootImageIsEvictedWhenNothingElseIsLeft) {
+  constexpr std::size_t kCap = sim::SnapshotPool::kCapacity;
+  sim::SnapshotPool pool;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    pool.put("boot|" + std::to_string(i), blob(static_cast<u8>(i)));
+  }
+  pool.put("prog|x|0", blob(0));
+  EXPECT_FALSE(pool.contains("boot|0"));  // the least recently used
+  EXPECT_TRUE(pool.contains("boot|1"));
+  EXPECT_TRUE(pool.contains("prog|x|0"));
+}
+
 }  // namespace
 }  // namespace la::test

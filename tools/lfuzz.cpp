@@ -1,9 +1,11 @@
 // lfuzz — coverage-guided differential fuzzer for the Liquid node.
 //
-// Random SPARC V8 programs run through three independently written legs
-// (functional IntegerUnit, timed LeonPipeline, the full boot-load-run
-// LiquidSystem); any architectural or memory disagreement is a failure,
-// automatically shrunk to a minimal .s repro by delta debugging.
+// Random SPARC V8 programs run through three legs (functional
+// IntegerUnit, timed LeonPipeline, the full boot-load-run LiquidSystem),
+// which share the instruction semantics of cpu/sparc_semantics.hpp but
+// sequence, trap and reach memory each their own way; any architectural
+// or memory disagreement is a failure, automatically shrunk to a minimal
+// .s repro by delta debugging.
 //
 //   lfuzz --budget-secs 60                  timed campaign (CI smoke)
 //   lfuzz --iterations 200 --seed 7         deterministic campaign
